@@ -4,14 +4,17 @@ Mixed characteristic: the multiplicative group modulo p-th powers.  The
 filtration-adapted basis has one uniformizer-class vector (index 0 by
 convention), one unit vector 1 + w(a_j) pi^i per residue basis element a_j
 and per index 1 <= i < p*e/(p-1) prime to p (w = Teichmueller lift), and
-one boundary vector at index p*e/(p-1) whose residue coefficient b_0 is
-the first element outside the image of a -> a^p + c a, c the residue of
-p / pi^e.  Total dimension = [top : Q_p] + 2.
+one boundary vector at index p*e/(p-1) whose residue coefficient is
+b_0 = x^j, the first element (value order) outside the image of
+a -> a^p + c a, c the residue of p / pi^e: j is the first nonzero
+coordinate of the functional cutting out that corank-1 image.  Total
+dimension = [top : Q_p] + 2.
 
 Equal characteristic: the additive group modulo x^p - x, materialized up
-to a pole-order bound B: one constant vector (any residue element of
-absolute trace 1) and one vector a_j u^{-i} per residue basis element and
-pole order 1 <= i <= B prime to p.
+to a pole-order bound B: one constant vector c_0 = T(x^j)^{-1} x^j, the
+first element (value order) of absolute trace 1, j the first i with
+T(x^i) != 0, and one vector a_j u^{-i} per residue basis element and pole
+order 1 <= i <= B prime to p.
 
 reduce_class expresses an arbitrary element in this basis by peeling
 leading filtration coefficients; every step strictly increases the level,
@@ -96,13 +99,10 @@ def kummer_basis(tower: TameTower) -> ClassBasis:
     if im_rows.shape[0] != F.f - 1:
         raise InvariantViolation(
             "boundary map image must have corank 1 (p-torsion present)")
-    b0 = None
-    for code in range(1, F.order):
-        cand = F.from_code(code)
-        if not modrep.in_row_space(im_rows, np.array(cand.coeffs), p):
-            b0 = cand
-            break
-    assert b0 is not None
+    # b0 = x^j: smaller codes only use coordinates the cokernel functional
+    # ignores, so they all lie in the image
+    functional = modrep.kernel(im_rows, p)[0]
+    b0 = F.from_code(p ** int(np.flatnonzero(functional)[0]))
     vectors.append(BasisVector(
         "boundary", bl, 0,
         one + RingElt.teichmuller(ring, b0) * RingElt.uniformizer(ring, bl)))
@@ -129,8 +129,11 @@ def artinschreier_basis(tower: TameTower, level_bound: int) -> ClassBasis:
     ring = tower.ring
     p = tower.p
     F = tower.residue
-    c0 = next(F.from_code(code) for code in range(F.order)
-              if abs_trace(F.from_code(code)) == 1)
+    # the trace is linear: every code below T(x^j)^{-1} p^j has trace 0 or
+    # a multiple of T(x^j) other than 1
+    traces = [abs_trace(F.from_code(p ** i)) for i in range(F.f)]
+    j = next(i for i, t in enumerate(traces) if t)
+    c0 = F.from_code(pow(traces[j], p - 2, p) * p ** j)
     vectors = [BasisVector("constant", 0, 0, RingElt.monomial(ring, 0, c0))]
     for i in range(1, level_bound + 1):
         if i % p == 0:
@@ -182,7 +185,8 @@ def _reduce_kummer(basis: ClassBasis, x: RingElt) -> np.ndarray:
                 if sol is not None:
                     tau = t
                     break
-            assert tau is not None, "boundary cokernel must have order p"
+            if tau is None:
+                raise InvariantViolation("boundary cokernel must have order p")
             # a != 0 forces tau > 0 or sol != 0, so the strip is never trivial
             strip = one
             if tau:

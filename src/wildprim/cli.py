@@ -5,7 +5,8 @@
     wildprim verify --suite quick|full [--out F]
 
 Exit codes: 0 success, 1 verification failure or usage error, 2 invariant
-violation, 3 precision exhaustion.
+violation, 3 precision exhaustion.  enumerate still accepts the retired
+--single-thread and --workers K flags and ignores them.
 """
 
 from __future__ import annotations
@@ -50,10 +51,9 @@ def make_parser() -> argparse.ArgumentParser:
                       help="working uniformizer-adic precision")
     enum.add_argument("--format", choices=["json", "csv"], default="json")
     enum.add_argument("--out", default=None, help="output path (default stdout)")
-    enum.add_argument("--single-thread", action="store_true",
-                      help="serial reference execution (identical output)")
-    enum.add_argument("--workers", type=int, default=4,
-                      help="worker threads for per-class enumeration")
+    # accepted and ignored for one version; enumeration is always serial
+    enum.add_argument("--single-thread", action="store_true", help=argparse.SUPPRESS)
+    enum.add_argument("--workers", type=int, help=argparse.SUPPRESS)
 
     reps = subs.add_parser("reps", help="list simple representation classes")
     _add_base_flags(reps)
@@ -68,11 +68,9 @@ def make_parser() -> argparse.ArgumentParser:
 def cmd_enumerate(args) -> int:
     from . import serialize
     base = _base_from_args(args)
-    workers = 1 if args.single_thread else max(1, args.workers)
     result = enumerate_primitive(
         base, args.n, level_bound=args.level_bound, precision=args.precision,
-        seed=args.seed, cache_dir=args.cache_dir, use_cache=not args.no_cache,
-        workers=workers)
+        seed=args.seed, cache_dir=args.cache_dir, use_cache=not args.no_cache)
     if args.format == "json":
         payload = serialize.to_json_bytes(result)
     else:

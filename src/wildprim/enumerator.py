@@ -13,14 +13,14 @@ the tower group; their identifiers are structural fingerprints (dimension
 plus the characteristic polynomial of every group element), which is an
 isomorphism invariant, so catalogs do not depend on the chop's random
 path.  A JSON cache keyed by (p, f, char, n, seed, version) makes repeat
-runs cheap; deleting it never changes any output.
+runs cheap; deleting it never changes any output.  The degree-n classes
+are enumerated one after another in the calling thread.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -304,8 +304,8 @@ def _record_for(tower: TameTower, basis: ClassBasis, omega: dict,
 
 def enumerate_primitive(base: BaseField, n: int, *, level_bound: int | None = None,
                         precision: int | None = None, seed: int = 0,
-                        cache_dir: str | None = None, use_cache: bool = True,
-                        workers: int | None = None) -> EnumerationResult:
+                        cache_dir: str | None = None,
+                        use_cache: bool = True) -> EnumerationResult:
     """All primitive extensions of degree p^n, as extension records.
 
     Char p requires level_bound (only finitely many records have bounded
@@ -326,27 +326,18 @@ def enumerate_primitive(base: BaseField, n: int, *, level_bound: int | None = No
     classes = simple_classes(tower, seed=seed, cache_dir=cache_dir,
                              use_cache=use_cache)
     degree_classes = [c for c in classes if c.dim == n]
-
-    def work(cls: SimpleClassInfo) -> list[ExtensionRecord]:
-        subs = modrep.enumerate_simple_submodules(gens_V, [cls.gens()], tower.p)
-        return [_record_for(tower, basis, omega, cls, rows, gens_V)
-                for _, rows in subs]
-
-    if workers and workers > 1 and len(degree_classes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(work, degree_classes))
-    else:
-        chunks = [work(cls) for cls in degree_classes]
-
+    records = [_record_for(tower, basis, omega, cls, rows, gens_V)
+               for cls in degree_classes
+               for _, rows in modrep.enumerate_simple_submodules(
+                   gens_V, [cls.gens()], tower.p)]
     by_class = {cls.identifier: cls.fingerprint for cls in degree_classes}
-    records = [r for chunk in chunks for r in chunk]
     records.sort(key=lambda r: (r.level, by_class[r.rep_id],
                                 tuple(x for row in r.d_basis for x in row)))
     return EnumerationResult(
         base=base, n=n, records=records, tower=tower, basis=basis,
         matrices=matrices, classes=classes, omega=omega,
         options={"seed": seed, "precision": tower.ring.prec,
-                 "level_bound": level_bound, "workers": workers or 1})
+                 "level_bound": level_bound})
 
 
 def list_representations(base: BaseField, n: int, seed: int = 0,

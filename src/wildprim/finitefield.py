@@ -15,6 +15,7 @@ first root of its modulus inside the big field.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
@@ -42,11 +43,6 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def factorize(n: int) -> list[int]:
-    """Prime divisors by trial division (field sizes here stay small)."""
-    return gfpoly._prime_divisors(n)
 
 
 class FFElt:
@@ -331,7 +327,7 @@ def find_generator(F: FiniteField) -> FFElt:
     target = F.order - 1
     if target == 1:
         return F.one
-    primes = factorize(target)
+    primes = gfpoly._prime_divisors(target)
     for code in range(1, F.order):
         x = F.from_code(code)
         if all(x ** (target // ell) != F.one for ell in primes):
@@ -355,14 +351,8 @@ def first_element_of_order(F: FiniteField, e: int) -> FFElt:
     sub = field_create(F.p, j)
     g = find_generator(sub)
     zeta0 = embed(sub, F)(g ** ((sub.order - 1) // e))
-    candidates = [zeta0 ** k for k in range(1, e) if _gcd(k, e) == 1]
+    candidates = [zeta0 ** k for k in range(1, e) if gcd(k, e) == 1]
     return min(candidates, key=lambda y: y.code())
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def solve_artin_schreier(c: FFElt, b: FFElt):

@@ -157,40 +157,9 @@ def _pth_root_substitute(f, p):
     return trim([f[i] for i in range(0, len(f), p)])
 
 
-def _null_space(mat, p):
-    """Basis of {w : mat @ w = 0} for a small dense list-of-rows matrix."""
-    m = [row[:] for row in mat]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                factor = m[i][c]
-                m[i] = [(x - factor * y) % p for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        v = [0] * ncols
-        v[fc] = 1
-        for row_i, pc in enumerate(pivots):
-            v[pc] = (-m[row_i][fc]) % p
-        basis.append(v)
-    return basis
-
-
 def _berlekamp_split(f, p):
     """Distinct monic irreducible factors of a squarefree monic f."""
+    from .modrep import kernel  # modrep imports this module
     d = len(f) - 1
     if d <= 1:
         return [f]
@@ -203,10 +172,10 @@ def _berlekamp_split(f, p):
         cur = mod(mul(cur, xp, p), f, p)
     q_minus_i_t = [[(rows[i][j] - (1 if i == j else 0)) % p for i in range(d)]
                    for j in range(d)]
-    kernel = _null_space(q_minus_i_t, p)
-    if len(kernel) == 1:
+    fixed = [trim([int(c) for c in v]) for v in kernel(q_minus_i_t, p)]
+    if len(fixed) == 1:
         return [f]
-    b = next(trim(list(v)) for v in kernel if len(trim(list(v))) > 1)
+    b = next(v for v in fixed if len(v) > 1)
     pieces = []
     for c in range(p):
         g = gcd(sub(b, [c], p), f, p)

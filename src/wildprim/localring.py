@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PrecisionExhausted
+from .errors import InvariantViolation, PrecisionExhausted
 from .finitefield import FFElt, FiniteField, field_create
 
 
@@ -132,7 +132,8 @@ class CoeffRing:
             hr = self._poly_at(self.h, r)
             dr = self._poly_at(hp, r)
             r = (r - self.mul(hr, self.inv(dr))) % self.pm
-        assert not np.any(self._poly_at(self.h, r)), "Hensel lift failed"
+        if np.any(self._poly_at(self.h, r)):
+            raise InvariantViolation("Hensel lift failed")
         cols = [self.one()]
         for _ in range(f_ - 1):
             cols.append(self.mul(cols[-1], r))

@@ -14,6 +14,7 @@ and all emitted data is canonically sorted, so catalogs are reproducible.
 
 from __future__ import annotations
 
+import bisect
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gfpoly
-from .errors import IterationBudgetExceeded
+from .errors import InvariantViolation, IterationBudgetExceeded
 
 
 def as_fp(A, p: int) -> np.ndarray:
@@ -115,6 +116,29 @@ def poly_eval_matrix(f: list[int], M: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _echelon_insert(rows: list, pivots: list, v: np.ndarray, p: int,
+                    width: int | None = None) -> tuple[np.ndarray, bool]:
+    """Reduce v against echelon rows; returns (remainder, inserted).
+
+    rows are normalised (entry 1 at their pivot) and kept sorted by pivot,
+    which is what makes one pass zero every pivot column of the remainder.
+    When the remainder has a nonzero entry among its first `width` entries
+    (all by default), a normalised copy is inserted with the first of them
+    as its pivot; width=0 therefore only reduces.  v is never modified.
+    """
+    for row, pc in zip(rows, pivots):
+        if v[pc]:
+            v = (v - v[pc] * row) % p
+    nz = np.flatnonzero(v[:width])
+    if nz.size == 0:
+        return v, False
+    pc = int(nz[0])
+    idx = bisect.bisect(pivots, pc)
+    rows.insert(idx, (v * pow(int(v[pc]), p - 2, p)) % p)
+    pivots.insert(idx, pc)
+    return v, True
+
+
 def minpoly(M, p: int) -> list[int]:
     """Minimal polynomial, as the lcm of vector-local minimal polynomials.
 
@@ -127,54 +151,27 @@ def minpoly(M, p: int) -> list[int]:
     acc = [1]
     seen_rows: list[np.ndarray] = []
     seen_pivots: list[int] = []
-
-    def reduce_global(v):
-        v = v.copy()
-        for i, pc in enumerate(seen_pivots):
-            if v[pc]:
-                v = (v - v[pc] * seen_rows[i]) % p
-        return v
-
-    def insert_global(v):
-        v = reduce_global(v)
-        nz = np.flatnonzero(v)
-        if nz.size == 0:
-            return
-        pc = int(nz[0])
-        v = (v * pow(int(v[pc]), p - 2, p)) % p
-        idx = next((i for i, q in enumerate(seen_pivots) if q > pc), len(seen_pivots))
-        seen_rows.insert(idx, v)
-        seen_pivots.insert(idx, pc)
-
     for start in range(n):
         if len(acc) - 1 == n:
             break
-        v0 = np.zeros(n, dtype=np.int64)
-        v0[start] = 1
-        if not np.any(reduce_global(v0)):
+        w = np.zeros(n, dtype=np.int64)
+        w[start] = 1
+        if not _echelon_insert(seen_rows, seen_pivots, w, p)[1]:
             continue
+        # Krylov rows [M^k w_0 | x^k] for the seed w_0: once the first n
+        # entries reduce to zero, the tail holds its local minimal polynomial
         rows: list[np.ndarray] = []
         pivots: list[int] = []
-        w = v0.copy()
         k = 0
         while True:
             rec = np.concatenate([w, np.zeros(n + 1, dtype=np.int64)])
             rec[n + k] = 1
-            red = rec.copy()
-            for i, pc in enumerate(pivots):
-                if red[pc]:
-                    red = (red - red[pc] * rows[i]) % p
-            lead = np.flatnonzero(red[:n])
-            if lead.size == 0:
+            red, inserted = _echelon_insert(rows, pivots, rec, p, width=n)
+            if not inserted:
                 local = gfpoly.monic(gfpoly.trim([int(c) for c in red[n:n + k + 1]]), p)
                 break
-            pc = int(lead[0])
-            red = (red * pow(int(red[pc]), p - 2, p)) % p
-            idx = next((i for i, q in enumerate(pivots) if q > pc), len(pivots))
-            rows.insert(idx, red)
-            pivots.insert(idx, pc)
-            insert_global(w)
             w = mm(M, w[:, None], p).ravel()
+            _echelon_insert(seen_rows, seen_pivots, w, p)
             k += 1
         acc = gfpoly.lcm(acc, local, p)
     return acc
@@ -225,38 +222,29 @@ def spin(gens, seeds, p: int) -> np.ndarray:
     gens_t = [np.ascontiguousarray(M.T) for M in gens]
     rows: list[np.ndarray] = []
     pivots: list[int] = []
-    queue = deque(as_fp(s, p).reshape(-1).copy() for s in np.atleast_2d(seeds))
-    while queue:
-        v = queue.popleft()
-        for i, pc in enumerate(pivots):
-            if v[pc]:
-                v = (v - v[pc] * rows[i]) % p
-        nz = np.flatnonzero(v)
-        if nz.size == 0:
-            continue
-        pc = int(nz[0])
-        v = (v * pow(int(v[pc]), p - 2, p)) % p
-        idx = next((i for i, q in enumerate(pivots) if q > pc), len(pivots))
-        rows.insert(idx, v)
-        pivots.insert(idx, pc)
-        if len(rows) == dim:
-            return rref(np.stack(rows), p)[0]
-        for Mt in gens_t:
-            queue.append((v @ Mt) % p)
+    queue = deque(as_fp(s, p).reshape(-1) for s in np.atleast_2d(seeds))
+    while queue and len(rows) < dim:
+        v, inserted = _echelon_insert(rows, pivots, queue.popleft(), p)
+        if inserted and len(rows) < dim:
+            for Mt in gens_t:
+                queue.append((v @ Mt) % p)
     if not rows:
         return np.zeros((0, dim), dtype=np.int64)
     return rref(np.stack(rows), p)[0]
 
 
+def _echelon(rows: np.ndarray, p: int) -> tuple[list, list]:
+    """Echelon rows and pivots of the span of rows, for _echelon_insert."""
+    ech: list[np.ndarray] = []
+    pivots: list[int] = []
+    for row in as_fp(rows, p):
+        _echelon_insert(ech, pivots, row, p)
+    return ech, pivots
+
+
 def in_row_space(rows: np.ndarray, v, p: int) -> bool:
-    if rows.shape[0] == 0:
-        return not np.any(as_fp(v, p))
-    R, pivots = rref(rows, p)
-    v = as_fp(v, p).reshape(-1).copy()
-    for i, pc in enumerate(pivots):
-        if v[pc]:
-            v = (v - v[pc] * R[i]) % p
-    return not np.any(v)
+    ech, pivots = _echelon(rows, p)
+    return not _echelon_insert(ech, pivots, as_fp(v, p).reshape(-1), p)[1]
 
 
 def restrict_action(gens, rows: np.ndarray, p: int) -> list[np.ndarray]:
@@ -282,19 +270,14 @@ def quotient_action(gens, rows: np.ndarray, p: int):
     """Action on V / span(rows): returns (matrices, projection).
 
     projection maps an ambient vector to its quotient coordinates (the free
-    coordinates after reduction against the rref rows).
+    coordinates after reduction against the echelon rows).
     """
     dim = gens[0].shape[0]
-    R, pivots = (rref(rows, p) if rows.shape[0] else
-                 (np.zeros((0, dim), dtype=np.int64), []))
+    ech, pivots = _echelon(rows, p)
     free = [c for c in range(dim) if c not in pivots]
 
     def project(v: np.ndarray) -> np.ndarray:
-        v = as_fp(v, p).reshape(-1).copy()
-        for i, pc in enumerate(pivots):
-            if v[pc]:
-                v = (v - v[pc] * R[i]) % p
-        return v[free]
+        return _echelon_insert(ech, pivots, as_fp(v, p).reshape(-1), p, width=0)[0][free]
 
     mats = []
     for M in gens:
@@ -458,7 +441,7 @@ def enumerate_simple_submodules(gens_V, classes, p: int):
     classes: generator tuples of pairwise non-isomorphic simple modules.
     Returns [(class_index, rows)] with rows the canonical rref basis,
     sorted within each class by the flattened basis.  Per class the count
-    is (p^dim H - 1)/(p^d - 1); every emitted subspace is asserted stable
+    is (p^dim H - 1)/(p^d - 1); every emitted subspace is checked stable
     and simple.
     """
     gens_V = [as_fp(M, p) for M in gens_V]
@@ -482,7 +465,8 @@ def enumerate_simple_submodules(gens_V, classes, p: int):
                 orbit.append(mm(orbit[-1], eps, p))
             span = rref(np.concatenate(
                 [span, np.stack([o.reshape(-1) for o in orbit])]), p)[0]
-        assert len(end_basis) * d == m, "Hom space is not End-free"
+        if len(end_basis) * d != m:
+            raise InvariantViolation("Hom space is not End-free")
         eps_pows = [np.eye(n, dtype=np.int64)]
         for _ in range(d - 1):
             eps_pows.append(mm(eps_pows[-1], eps, p))
@@ -501,25 +485,30 @@ def enumerate_simple_submodules(gens_V, classes, p: int):
                             alpha = (alpha + digit * eps_pows[k]) % p
                     h = (h + mm(end_basis[lead + 1 + t], alpha, p)) % p
                 rows = image(h, p)
-                assert rows.shape[0] == n, "hom from a simple module must be injective"
-                _assert_simple_stable(gens_V, rows, p)
+                if rows.shape[0] != n:
+                    raise InvariantViolation("hom from a simple module must be injective")
+                if not _is_simple(gens_V, rows, p):
+                    raise InvariantViolation("emitted subspace is not simple")
                 emitted.append(rows)
         expected = (p ** m - 1) // (p ** d - 1)
-        assert len(emitted) == expected, (len(emitted), expected)
-        keys = {tuple(r.ravel()) for r in emitted}
-        assert len(keys) == len(emitted), "duplicate submodules emitted"
+        if len(emitted) != expected:
+            raise InvariantViolation(
+                f"{len(emitted)} submodules emitted, {expected} expected")
+        if len({tuple(r.ravel()) for r in emitted}) != len(emitted):
+            raise InvariantViolation("duplicate submodules emitted")
         emitted.sort(key=lambda r: tuple(r.ravel()))
         out.extend((ci, rows) for rows in emitted)
     return out
 
 
-def _assert_simple_stable(gens_V, rows: np.ndarray, p: int) -> None:
-    sub_gens = restrict_action(gens_V, rows, p)  # raises if unstable
+def _is_simple(gens_V, rows: np.ndarray, p: int) -> bool:
+    """Whether the stable subspace rows is simple: every nonzero vector
+    spins it up.  Raises ValueError if the subspace is not stable."""
+    sub_gens = restrict_action(gens_V, rows, p)
     n = rows.shape[0]
-    for code in range(1, p ** n):
-        v = np.array([(code // p ** i) % p for i in range(n)], dtype=np.int64)
-        if spin(sub_gens, v, p).shape[0] != n:
-            raise AssertionError("emitted subspace is not simple")
+    return all(
+        spin(sub_gens, [(code // p ** i) % p for i in range(n)], p).shape[0] == n
+        for code in range(1, p ** n))
 
 
 def brute_simple_submodules(gens_V, n: int, p: int, max_dim: int = 14):
@@ -541,9 +530,6 @@ def brute_simple_submodules(gens_V, n: int, p: int, max_dim: int = 14):
         key = tuple(rows.ravel())
         if key in seen:
             continue
-        try:
-            _assert_simple_stable(gens_V, rows, p)
-        except AssertionError:
-            continue
-        seen[key] = rows
+        if _is_simple(gens_V, rows, p):
+            seen[key] = rows
     return [seen[k] for k in sorted(seen)]

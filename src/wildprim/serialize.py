@@ -2,9 +2,8 @@
 
 Field names are frozen (schema_version 1).  Output bytes depend only on
 the enumeration inputs recorded in the metadata block (base, n, seed,
-precision, level bound, modulus and zeta conventions), never on worker
-counts or cache state, so re-running with identical flags reproduces
-identical bytes.
+precision, level bound, modulus and zeta conventions), never on cache
+state, so re-running with identical flags reproduces identical bytes.
 """
 
 from __future__ import annotations

@@ -126,16 +126,6 @@ class TameTower:
     def group_elements(self) -> list[GroupElt]:
         return [(a, b) for a in range(self.e) for b in range(self.s * self.e)]
 
-    def word(self, g: GroupElt, sigma_val, phi_val, mul, one):
-        """Evaluate sigma^a * phi^b in any monoid (used for matrix words)."""
-        a, b = g
-        out = one
-        for _ in range(a):
-            out = mul(out, sigma_val)
-        for _ in range(b):
-            out = mul(out, phi_val)
-        return out
-
     # ---- action on the ring ----
 
     def apply(self, g: GroupElt, x: RingElt) -> RingElt:

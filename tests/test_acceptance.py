@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from wildprim import modrep, serialize
+from wildprim import modrep
 from wildprim.classmod import reduce_class
 from wildprim.enumerator import enumerate_primitive, list_representations
 from wildprim.localring import RingElt
@@ -208,17 +208,13 @@ def test_property_divisibility_duality_brute():
            "brute-oracle equivalence on all feasible instances")
 
 
-def test_property_identical_catalogs_precision_and_threads():
+def test_property_identical_catalogs_precision():
     res = enum(Q2, 2)
     bumped = enumerate_primitive(Q2, 2, precision=res.options["precision"] + res.tower.e,
                                  use_cache=False)
     rec = lambda r: json.dumps([x.to_dict() for x in r.records])
     assert rec(res) == rec(bumped)
-    pooled = enumerate_primitive(Q2, 2, use_cache=False, workers=4)
-    serial = enumerate_primitive(Q2, 2, use_cache=False, workers=1)
-    assert serialize.to_json_bytes(pooled) == serialize.to_json_bytes(serial)
-    report("byte-identical catalogs at precision N and N + e and between "
-           "single-thread and pooled runs")
+    report("byte-identical catalogs at precision N and N + e")
 
 
 def test_structure_checks_all_towers():

@@ -198,6 +198,24 @@ def test_filtration_index_of_boundary_and_uniformizer(q2n1):
 
 # ---- equal characteristic ----
 
+@pytest.mark.parametrize("base, n, code", [
+    (Q2, 2, 32), (Q3, 2, 9), (BaseField(5, 1, 0), 1, 25),
+    (BaseField(7, 1, 0), 1, 343), (BaseField(2, 3, 0), 2, 32768),
+    (BaseField(7, 2, 0), 1, 16807)])
+def test_boundary_coefficient_is_first_outside_image(base, n, code):
+    # the code of the first residue element outside the image of
+    # a -> a^p + c a, as an exhaustive scan in value order finds it
+    assert kummer_basis(build_tower(base, n)).aux["b0"].code() == code
+
+
+@pytest.mark.parametrize("base, n, code", [
+    (F2T, 2, 32), (F4T, 1, 2), (BaseField(3, 1, 3), 1, 2),
+    (BaseField(5, 1, 5), 1, 4)])
+def test_constant_is_first_of_trace_one(base, n, code):
+    basis = artinschreier_basis(build_tower(base, n), 1)
+    assert basis.aux["constant"].code() == code
+
+
 def test_as_basis_dimensions():
     t = build_tower(F2T, 1)
     assert artinschreier_basis(t, 5).dim == 4

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from wildprim import serialize
+from wildprim import modrep, serialize
 from wildprim.cli import main
 from wildprim.errors import InvariantViolation, PrecisionExhausted
 
@@ -93,6 +93,18 @@ def test_exit_code_invariant_violation(tmp_path, monkeypatch):
     monkeypatch.setattr("wildprim.cli.enumerate_primitive", boom)
     code = run(["enumerate", "--p", "2", "--f", "1", "--char", "0", "--n", "1"],
                tmp_path, monkeypatch)
+    assert code == 2
+
+
+def test_failed_invariant_exits_2(tmp_path, monkeypatch):
+    real = modrep.end_field
+
+    def one_degree_too_high(gens, p):
+        d, eps = real(gens, p)
+        return d + 1, eps
+    monkeypatch.setattr(modrep, "end_field", one_degree_too_high)
+    code = run(["enumerate", "--p", "2", "--f", "1", "--char", "0", "--n", "2",
+                "--no-cache"], tmp_path, monkeypatch)
     assert code == 2
 
 

@@ -3,11 +3,12 @@ import random
 import numpy as np
 import pytest
 
-from wildprim import modrep
+from wildprim import gfpoly, modrep
+from wildprim.errors import InvariantViolation
 from wildprim.modrep import (
     brute_simple_submodules, charpoly, chop, end_field,
-    enumerate_simple_submodules, hom_space, image, inv_mat, kernel, minpoly,
-    rank, solve, spin,
+    enumerate_simple_submodules, hom_space, image, in_row_space, inv_mat,
+    kernel, minpoly, poly_eval_matrix, quotient_action, rank, rref, solve, spin,
 )
 
 
@@ -146,6 +147,40 @@ def test_enumerate_lines_under_trivial_group():
     classes = [[np.eye(1, dtype=np.int64)]]
     subs = enumerate_simple_submodules(gens, classes, 2)
     assert len(subs) == 7
+
+
+def test_wrong_end_degree_is_an_invariant_violation(monkeypatch):
+    monkeypatch.setattr(modrep, "end_field",
+                        lambda gens, p: (2, np.eye(1, dtype=np.int64)))
+    with pytest.raises(InvariantViolation):
+        enumerate_simple_submodules([np.eye(3, dtype=np.int64)],
+                                    [[np.eye(1, dtype=np.int64)]], 2)
+
+
+def test_echelon_routines_match_rref_on_random_input():
+    rng = np.random.default_rng(0)
+    for p in (2, 3, 5):
+        for _ in range(30):
+            dim = int(rng.integers(1, 7))
+            rows = rng.integers(0, p, (int(rng.integers(0, dim + 1)), dim))
+            v = rng.integers(0, p, dim)
+            assert in_row_space(rows, v, p) == (
+                rank(np.vstack([rows, v]), p) == rank(rows, p))
+            # projection: v reduced against the rref rows, at free columns
+            R, pivots = rref(rows, p)
+            reduced = v
+            for row, pc in zip(R, pivots):
+                reduced = (reduced - reduced[pc] * row) % p
+            M = rng.integers(0, p, (dim, dim))
+            _, project = quotient_action([M], rows, p)
+            free = [c for c in range(dim) if c not in pivots]
+            assert np.array_equal(project(v), reduced[free])
+            # minpoly: monic, annihilates M, and no proper divisor does
+            mp = minpoly(M, p)
+            assert mp[-1] == 1 and not np.any(poly_eval_matrix(mp, M, p))
+            for g in gfpoly.distinct_irreducible_factors(mp, p):
+                smaller = gfpoly.divmod_poly(mp, g, p)[0]
+                assert np.any(poly_eval_matrix(smaller, M, p))
 
 
 def test_enumerate_c3_planes():
