@@ -5,8 +5,10 @@
     wildprim verify --suite quick|full [--out F]
 
 Exit codes: 0 success, 1 verification failure or usage error, 2 invariant
-violation, 3 precision exhaustion.  enumerate still accepts the retired
---single-thread and --workers K flags and ignores them.
+violation, 3 precision exhaustion.  enumerate and reps still accept the
+retired --single-thread, --workers K, --cache-dir DIR and --no-cache flags
+and ignore them.  --seed is recorded in the catalog metadata and changes no
+computation.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .enumerator import (DEFAULT_CACHE_DIR, enumerate_primitive,
-                         list_representations)
+from .enumerator import enumerate_primitive, list_representations
 from .errors import InvariantViolation, PrecisionExhausted
 from .tower import BaseField
 
@@ -31,11 +32,14 @@ def _add_base_flags(sub):
     sub.add_argument("--char", choices=["0", "p"], required=True,
                      help="base field characteristic")
     sub.add_argument("--n", type=int, required=True, help="degree parameter (p^n)")
-    sub.add_argument("--seed", type=int, default=0, help="chop randomization seed")
-    sub.add_argument("--cache-dir", default=None,
-                     help=f"simple-class cache directory (default {DEFAULT_CACHE_DIR}, "
-                          "env WILDPRIM_CACHE_DIR)")
-    sub.add_argument("--no-cache", action="store_true", help="bypass the cache")
+    sub.add_argument("--seed", type=int, default=0,
+                     help="recorded in the catalog metadata; changes no output")
+    # accepted and ignored for one version: enumeration is serial and
+    # keeps no cache
+    sub.add_argument("--single-thread", action="store_true", help=argparse.SUPPRESS)
+    sub.add_argument("--workers", type=int, help=argparse.SUPPRESS)
+    sub.add_argument("--cache-dir", help=argparse.SUPPRESS)
+    sub.add_argument("--no-cache", action="store_true", help=argparse.SUPPRESS)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -51,16 +55,14 @@ def make_parser() -> argparse.ArgumentParser:
                       help="working uniformizer-adic precision")
     enum.add_argument("--format", choices=["json", "csv"], default="json")
     enum.add_argument("--out", default=None, help="output path (default stdout)")
-    # accepted and ignored for one version; enumeration is always serial
-    enum.add_argument("--single-thread", action="store_true", help=argparse.SUPPRESS)
-    enum.add_argument("--workers", type=int, help=argparse.SUPPRESS)
 
     reps = subs.add_parser("reps", help="list simple representation classes")
     _add_base_flags(reps)
 
     ver = subs.add_parser("verify", help="run the verification suite")
     ver.add_argument("--suite", choices=["quick", "full"], default="quick")
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=int, default=0,
+                     help="seed of the randomized chop in the full suite's oracle")
     ver.add_argument("--out", default=None, help="write a JSON report here")
     return parser
 
@@ -70,7 +72,7 @@ def cmd_enumerate(args) -> int:
     base = _base_from_args(args)
     result = enumerate_primitive(
         base, args.n, level_bound=args.level_bound, precision=args.precision,
-        seed=args.seed, cache_dir=args.cache_dir, use_cache=not args.no_cache)
+        seed=args.seed)
     if args.format == "json":
         payload = serialize.to_json_bytes(result)
     else:
@@ -85,9 +87,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_reps(args) -> int:
     base = _base_from_args(args)
-    classes = list_representations(base, args.n, seed=args.seed,
-                                   cache_dir=args.cache_dir,
-                                   use_cache=not args.no_cache)
+    classes = list_representations(base, args.n)
     print(f"# simple classes of dimension {args.n}: {len(classes)}")
     print("identifier  dim  end_degree  inertia_exponent  mult_in_regular")
     for c in classes:
@@ -108,7 +108,8 @@ FULL_TOWERS = QUICK_TOWERS + [
 
 def _verify_suite(suite: str, seed: int):
     from .verify import (VerificationReport, cross_checks, mass_check,
-                         quadratic_catalog_check, structure_checks)
+                         quadratic_catalog_check, simple_classes_oracle_check,
+                         structure_checks)
     report = VerificationReport()
     report.extend(quadratic_catalog_check(seed))
     report.add("mass[Q_2]", mass_check(BaseField(2, 1, 0), seed=seed), 2)
@@ -127,6 +128,8 @@ def _verify_suite(suite: str, seed: int):
         report.extend(structure_checks(result))
         heavy = result.basis.dim > 30
         report.extend(cross_checks(result, precision=not heavy or suite == "full"))
+        if suite == "full":
+            report.extend(simple_classes_oracle_check(result.tower, seed))
     return report
 
 

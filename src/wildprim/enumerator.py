@@ -8,32 +8,28 @@ exponent coincides (totally ramified, residual degree 1).  The Galois
 closure has order p^n times the order of the image of the twisted dual
 action on D (the twist is trivial for p = 2).
 
-Representation classes come from chopping the regular representation of
-the tower group; their identifiers are structural fingerprints (dimension
-plus the characteristic polynomial of every group element), which is an
-isomorphism invariant, so catalogs do not depend on the chop's random
-path.  A JSON cache keyed by (p, f, char, n, seed, version) makes repeat
-runs cheap; deleting it never changes any output.  The degree-n classes
-are enumerated one after another in the calling thread.
+Representation classes are built in closed form from Clifford theory of
+the tower group (see simple_classes); their identifiers follow the order of
+structural fingerprints (dimension plus the characteristic polynomial of
+every group element), which are isomorphism invariants, so catalogs do not
+depend on the basis chosen for a class.  Nothing is random or cached; the
+degree-n classes are enumerated one after another in the calling thread.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
+from math import gcd
 
 import numpy as np
 
-from . import __version__, modrep
+from . import modrep
 from .classmod import (ClassBasis, artinschreier_basis, filtration_index,
                        galois_matrices, kummer_basis, level_of,
                        omega_character)
 from .errors import InvariantViolation
-from .tower import BaseField, TameTower, build_tower
-
-DEFAULT_CACHE_DIR = ".wildprim-cache"
-CACHE_ENV_VAR = "WILDPRIM_CACHE_DIR"
+from .finitefield import field_create, find_generator
+from .tower import BaseField, TameTower, _mult_order, build_tower
 
 
 @dataclass
@@ -50,18 +46,6 @@ class SimpleClassInfo:
 
     def gens(self) -> list[np.ndarray]:
         return [self.sigma, self.phi]
-
-
-def regular_representation(tower: TameTower) -> list[np.ndarray]:
-    els = tower.group_elements()
-    idx = {g: i for i, g in enumerate(els)}
-    mats = []
-    for h in (tower.sigma, tower.phi):
-        M = np.zeros((len(els), len(els)), dtype=np.int64)
-        for g in els:
-            M[idx[tower.compose(h, g)], idx[g]] = 1
-        mats.append(M)
-    return mats
 
 
 def _element_matrices(tower: TameTower, sigma: np.ndarray, phi: np.ndarray):
@@ -101,54 +85,100 @@ def _inertia_exponent(tower: TameTower, sigma: np.ndarray) -> int:
     raise InvariantViolation("inertia eigenvalues must be e-th roots of unity")
 
 
-def _cache_path(cache_dir: str | None, key: str) -> str | None:
-    if cache_dir is None:
-        cache_dir = os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE_DIR)
-    if not cache_dir:
-        return None
-    return os.path.join(cache_dir, key + ".json")
+def _pprime_part(m: int, p: int) -> int:
+    while m % p == 0:
+        m //= p
+    return m
 
 
-def simple_classes(tower: TameTower, seed: int = 0,
-                   cache_dir: str | None = None,
-                   use_cache: bool = True) -> list[SimpleClassInfo]:
-    """All simple classes of the tower group, in fingerprint order."""
-    base = tower.base
-    key = (f"classes-p{base.p}-f{base.f}-char{'0' if base.char == 0 else 'p'}"
-           f"-n{tower.n}-seed{seed}-v{__version__}")
-    path = _cache_path(cache_dir, key) if use_cache else None
-    raw = None
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            raw = json.load(fh)
-    if raw is None:
-        constituents = modrep.chop(regular_representation(tower), tower.p, seed=seed)
-        raw = [{"dim": c.dim,
-                "sigma": c.gens[0].tolist(),
-                "phi": c.gens[1].tolist(),
-                "multiplicity": c.multiplicity}
-               for c in constituents]
-        if path:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            tmp = path + ".tmp"
-            with open(tmp, "w") as fh:
-                json.dump(raw, fh)
-            os.replace(tmp, path)
+def simple_classes(tower: TameTower) -> list[SimpleClassInfo]:
+    """All simple classes of the tower group, in fingerprint order.
+
+    G = <sigma, phi | sigma^e, phi^(se), phi sigma phi^-1 = sigma^q> has the
+    normal inertia subgroup <sigma> of order e prime to p, so Clifford theory
+    (Curtis-Reiner I, section 11) lists its simple modules.  Over F = F_{p^r},
+    r the order of p mod L = (se)_{p'}, the absolutely simple E(k, j) has
+    basis v_0..v_{t-1}, t the size of the q-orbit of k mod e, with
+    sigma v_i = zeta^(k q^-i) v_i, phi v_i = v_{i+1} and phi v_{t-1} = nu v_0
+    for nu = omega^j of order dividing se/t.  E(k, j) = E(qk, j), and
+    Frobenius permutes the classes by (k, j) -> (pk, pj); an orbit of length
+    d is one simple F_p-module S with End(S) = F_{p^d}.  E written over F_p
+    is r/d copies of S, and S is the fixed space of a p^d-semilinear
+    equivariant J with J^(r/d) = 1.  Fong's dimension formula for p-solvable
+    groups gives the multiplicity |G|_p (dim S / d)_{p'} of S in the regular
+    module.
+    """
+    p, e, q = tower.p, tower.e, tower.base.q
+    se = tower.s * e
+    L = _pprime_part(se, p)
+    r = _mult_order(p, L)
+    F = field_create(p, r)
+    omega = find_generator(F) ** ((F.order - 1) // L)
+    zeta = omega ** (L // e)
+    qinv = pow(q, -1, e)
+
+    def over_fp(M):
+        """The F_p matrix of an F-matrix: entry c becomes the r-square
+        matrix of multiplication by c."""
+        return np.block([[F.linear_matrix(lambda x, c=c: c * x) for c in row]
+                         for row in M])
+
+    def q_orbit(k):
+        orbit = [k]
+        while orbit[-1] * q % e != k:
+            orbit.append(orbit[-1] * q % e)
+        return orbit
+
+    seen = set()
     infos = []
-    for entry in raw:
-        sigma = np.array(entry["sigma"], dtype=np.int64)
-        phi = np.array(entry["phi"], dtype=np.int64)
-        d, _ = modrep.end_field([sigma, phi], tower.p)
-        infos.append(SimpleClassInfo(
-            identifier="",
-            dim=entry["dim"],
-            sigma=sigma,
-            phi=phi,
-            end_degree=d,
-            inertia_exponent=_inertia_exponent(tower, sigma),
-            fingerprint=fingerprint(tower, sigma, phi),
-            multiplicity_in_regular=entry["multiplicity"],
-        ))
+    for k in range(e):
+        t = len(q_orbit(k))
+        for j in range(0, L, L // gcd(L, se // t)):
+            key = (min(q_orbit(k)), j)
+            if key in seen:
+                continue
+            images = [(min(q_orbit(k * p ** i % e)), j * p ** i % L)
+                      for i in range(1, r + 1)]
+            seen.update(images)
+            d = images.index(key) + 1
+            nu = omega ** j
+
+            def shift(s, b):
+                """v_i -> b v_{i+s}, times nu where i + s wraps past t."""
+                M = [[F.zero] * t for _ in range(t)]
+                for i in range(t):
+                    M[(i + s) % t][i] = b * nu if i + s >= t else b
+                return over_fp(M)
+
+            sigma = over_fp([[zeta ** (k * pow(qinv, i, e)) if i == c else F.zero
+                              for c in range(t)] for i in range(t)])
+            phi = shift(1, F.one)
+            if d < r:
+                # J = shift(j', b) after the p^d-power Frobenius, where
+                # p^d k = q^-j' k mod e; b is the first unit with J^(r/d) = 1
+                jp = next(i for i in range(t)
+                          if (p ** d * k - k * pow(qinv, i, e)) % e == 0)
+                frob = np.kron(np.eye(t, dtype=np.int64),
+                               F.linear_matrix(lambda x: x ** (p ** d)))
+                eye = np.eye(t * r, dtype=np.int64)
+                for code in range(1, F.order):
+                    J = shift(jp, F.from_code(code)) @ frob % p
+                    if np.array_equal(modrep._mat_pow(J, r // d, p), eye):
+                        break
+                rows = modrep.kernel(J - eye, p)
+                if rows.shape[0] != d * t:
+                    raise InvariantViolation("Galois descent lost dimensions")
+                sigma, phi = modrep.restrict_action([sigma, phi], rows, p)
+            infos.append(SimpleClassInfo(
+                identifier="",
+                dim=d * t,
+                sigma=sigma,
+                phi=phi,
+                end_degree=d,
+                inertia_exponent=_inertia_exponent(tower, sigma),
+                fingerprint=fingerprint(tower, sigma, phi),
+                multiplicity_in_regular=se // L * _pprime_part(t, p),
+            ))
     infos.sort(key=lambda c: c.fingerprint)
     counters: dict[int, int] = {}
     for info in infos:
@@ -310,6 +340,8 @@ def enumerate_primitive(base: BaseField, n: int, *, level_bound: int | None = No
 
     Char p requires level_bound (only finitely many records have bounded
     differental exponent; the module is materialized up to that bound).
+    seed is only recorded in the options (and so in the catalog metadata);
+    cache_dir and use_cache are accepted and ignored, as nothing is cached.
     """
     if base.char != 0 and level_bound is None:
         raise ValueError("equal characteristic requires a level bound")
@@ -323,8 +355,7 @@ def enumerate_primitive(base: BaseField, n: int, *, level_bound: int | None = No
     matrices = galois_matrices(basis)
     gens_V = [matrices[tower.sigma], matrices[tower.phi]]
     omega = omega_character(basis, matrices)
-    classes = simple_classes(tower, seed=seed, cache_dir=cache_dir,
-                             use_cache=use_cache)
+    classes = simple_classes(tower)
     degree_classes = [c for c in classes if c.dim == n]
     records = [_record_for(tower, basis, omega, cls, rows, gens_V)
                for cls in degree_classes
@@ -343,7 +374,8 @@ def enumerate_primitive(base: BaseField, n: int, *, level_bound: int | None = No
 def list_representations(base: BaseField, n: int, seed: int = 0,
                          cache_dir: str | None = None,
                          use_cache: bool = True) -> list[SimpleClassInfo]:
-    """Simple classes of dimension n of the tower group, with metadata."""
-    tower = build_tower(base, n)
-    return [c for c in simple_classes(tower, seed=seed, cache_dir=cache_dir,
-                                      use_cache=use_cache) if c.dim == n]
+    """Simple classes of dimension n of the tower group, with metadata.
+
+    seed, cache_dir and use_cache are accepted and ignored.
+    """
+    return [c for c in simple_classes(build_tower(base, n)) if c.dim == n]

@@ -69,8 +69,9 @@ class CoeffRing:
     def reduce_wide(self, wide: np.ndarray) -> np.ndarray:
         """Reduce rows of length 2f-1 modulo h (and p^m)."""
         f_ = self.f
+        wide = wide % self.pm
         if f_ == 1:
-            return wide % self.pm
+            return wide
         if wide.shape[1] < 2 * f_ - 1:
             pad = np.zeros((wide.shape[0], 2 * f_ - 1 - wide.shape[1]), dtype=np.int64)
             wide = np.concatenate([wide, pad], axis=1)
@@ -173,6 +174,12 @@ def ring_create(char: int, p: int, fprime: int, e: int, prec: int | None = None)
     residue = field_create(p, fprime)
     if char == 0:
         m = -(-prec // e) + 2
+        # RingElt.__mul__ sums up to e*f' unreduced products below p^(2m)
+        # in int64 before reducing; refuse rings where that sum can wrap.
+        if max(e, 1) * fprime * (p ** m - 1) ** 2 >= 1 << 63:
+            raise ValueError(
+                f"coefficients modulo {p}^{m} at ramification {e} and residue "
+                f"degree {fprime} overflow int64 arithmetic")
         return RingDesc(0, p, fprime, e, prec, m, residue, CoeffRing(residue, m))
     if char != p:
         raise ValueError("characteristic must be 0 or p")
@@ -289,6 +296,7 @@ class RingElt:
                         wide[i + j, 0] += self.data[i, 0] * other.data[j, 0]
                     else:
                         wide[i + j, :] += np.convolve(self.data[i], other.data[j])
+            wide %= ring.coeff.pm
             for k in range(2 * e - 2, e - 1, -1):
                 wide[k - e] += ring.p * wide[k]
             return RingElt(ring, ring.coeff.reduce_wide(wide[:e]), w)

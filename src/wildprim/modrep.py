@@ -7,9 +7,10 @@ the column vector v to M @ v, so matrices compose like the group
 reduced row echelon form, which doubles as the canonical form used for
 deterministic ordering.
 
-The module splitter is the usual randomized MeatAxe with Norton's
-irreducibility certificate; randomness is driven by a caller-supplied seed
-and all emitted data is canonically sorted, so catalogs are reproducible.
+The module splitter (chop) is the usual randomized MeatAxe with Norton's
+irreducibility certificate, driven by a caller-supplied seed.  The pipeline
+builds its simple modules in closed form and never calls it; chop is the
+reference implementation the simple-class oracle in verify compares against.
 """
 
 from __future__ import annotations
@@ -120,11 +121,12 @@ def _echelon_insert(rows: list, pivots: list, v: np.ndarray, p: int,
                     width: int | None = None) -> tuple[np.ndarray, bool]:
     """Reduce v against echelon rows; returns (remainder, inserted).
 
-    rows are normalised (entry 1 at their pivot) and kept sorted by pivot,
-    which is what makes one pass zero every pivot column of the remainder.
-    When the remainder has a nonzero entry among its first `width` entries
-    (all by default), a normalised copy is inserted with the first of them
-    as its pivot; width=0 therefore only reduces.  v is never modified.
+    rows are kept in reduced row echelon form: sorted by pivot, entry 1 at
+    their own pivot and 0 at every other row's pivot, so one pass zeroes
+    every pivot column of the remainder.  When the remainder has a nonzero
+    entry among its first `width` entries (all by default), a normalised
+    copy is inserted with the first of them as its pivot and cleared from
+    the other rows; width=0 therefore only reduces.  v is never modified.
     """
     for row, pc in zip(rows, pivots):
         if v[pc]:
@@ -133,8 +135,12 @@ def _echelon_insert(rows: list, pivots: list, v: np.ndarray, p: int,
     if nz.size == 0:
         return v, False
     pc = int(nz[0])
+    new = (v * pow(int(v[pc]), p - 2, p)) % p
+    for i, row in enumerate(rows):
+        if row[pc]:
+            rows[i] = (row - row[pc] * new) % p
     idx = bisect.bisect(pivots, pc)
-    rows.insert(idx, (v * pow(int(v[pc]), p - 2, p)) % p)
+    rows.insert(idx, new)
     pivots.insert(idx, pc)
     return v, True
 
@@ -230,7 +236,7 @@ def spin(gens, seeds, p: int) -> np.ndarray:
                 queue.append((v @ Mt) % p)
     if not rows:
         return np.zeros((0, dim), dtype=np.int64)
-    return rref(np.stack(rows), p)[0]
+    return np.stack(rows)
 
 
 def _echelon(rows: np.ndarray, p: int) -> tuple[list, list]:
@@ -501,18 +507,29 @@ def enumerate_simple_submodules(gens_V, classes, p: int):
     return out
 
 
+def _line_representatives(n: int, p: int):
+    """One nonzero vector of F_p^n per line: those whose first nonzero
+    coordinate is 1.  A vector and its multiples spin the same subspace."""
+    for lead in range(n):
+        tail = n - lead - 1
+        for code in range(p ** tail):
+            v = np.zeros(n, dtype=np.int64)
+            v[lead] = 1
+            v[lead + 1:] = [(code // p ** i) % p for i in range(tail)]
+            yield v
+
+
 def _is_simple(gens_V, rows: np.ndarray, p: int) -> bool:
     """Whether the stable subspace rows is simple: every nonzero vector
     spins it up.  Raises ValueError if the subspace is not stable."""
     sub_gens = restrict_action(gens_V, rows, p)
     n = rows.shape[0]
-    return all(
-        spin(sub_gens, [(code // p ** i) % p for i in range(n)], p).shape[0] == n
-        for code in range(1, p ** n))
+    return all(spin(sub_gens, v, p).shape[0] == n
+               for v in _line_representatives(n, p))
 
 
 def brute_simple_submodules(gens_V, n: int, p: int, max_dim: int = 14):
-    """Oracle: exhaustive scan over spins of all nonzero vectors.
+    """Oracle: exhaustive scan over spins of one vector per line.
 
     Every simple submodule is the spin of each of its nonzero vectors, so
     collecting n-dimensional spins and filtering for simplicity is complete.
@@ -522,8 +539,7 @@ def brute_simple_submodules(gens_V, n: int, p: int, max_dim: int = 14):
     if dim > max_dim or p ** dim > 1 << 22:
         raise ValueError(f"brute enumeration infeasible at dimension {dim}")
     seen = {}
-    for code in range(1, p ** dim):
-        v = np.array([(code // p ** i) % p for i in range(dim)], dtype=np.int64)
+    for v in _line_representatives(dim, p):
         rows = spin(gens_V, v, p)
         if rows.shape[0] != n:
             continue

@@ -1,9 +1,10 @@
 """Catalog file formats: self-describing JSON and flat CSV.
 
 Field names are frozen (schema_version 1).  Output bytes depend only on
-the enumeration inputs recorded in the metadata block (base, n, seed,
-precision, level bound, modulus and zeta conventions), never on cache
-state, so re-running with identical flags reproduces identical bytes.
+the enumeration inputs recorded in the metadata block (base, n, precision,
+level bound, modulus and zeta conventions), so re-running with identical
+flags reproduces identical bytes.  The metadata still carries the seed
+field of schema 1; the seed changes no computation and appears nowhere else.
 """
 
 from __future__ import annotations

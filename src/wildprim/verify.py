@@ -4,8 +4,10 @@ Nothing here trusts the pipeline: the quadratic oracle computes different
 exponents from integer valuations alone, the mass check evaluates Serre's
 totally-ramified mass sum as an exact rational, the structure checks
 compare measured Hom-multiplicities against the known module decomposition,
-and the cross checks replay the enumeration against a brute-force subspace
-scan and a higher-precision run.  All comparisons are exact; a failed
+the cross checks replay the enumeration against a brute-force subspace
+scan and a higher-precision run, and the simple-class oracle compares the
+closed-form simple modules with a MeatAxe chop of the regular
+representation.  All comparisons are exact; a failed
 check is recorded and aggregated, never silently dropped.
 """
 
@@ -19,10 +21,10 @@ import numpy as np
 from . import modrep
 from .classmod import reduce_class
 from .enumerator import (EnumerationResult, SimpleClassInfo,
-                         enumerate_primitive)
+                         enumerate_primitive, fingerprint, simple_classes)
 from .finitefield import abs_trace
 from .localring import RingElt
-from .tower import BaseField
+from .tower import BaseField, TameTower
 
 
 @dataclass
@@ -120,13 +122,12 @@ def mass_check(base: BaseField, p: int | None = None, *,
     Sums (p/|Aut|) q^{-(d - (p-1))} over the ramified degree-p records,
     with |Aut| = p exactly for the cyclic records (closure order p).  In
     char 0 the value is exactly p; in char p only the partial sum over the
-    materialized levels is returned.
+    materialized levels is returned.  use_cache is accepted and ignored.
     """
     p = p if p is not None else base.p
     if p != base.p:
         raise ValueError("the mass formula is evaluated at the residue characteristic")
-    result = enumerate_primitive(base, 1, level_bound=level_bound, seed=seed,
-                                 use_cache=use_cache)
+    result = enumerate_primitive(base, 1, level_bound=level_bound, seed=seed)
     q = base.q
     total = Fraction(0)
     for r in result.records:
@@ -194,12 +195,42 @@ def structure_checks(result: EnumerationResult, seed: int = 0) -> VerificationRe
     return report
 
 
+def regular_representation(tower: TameTower) -> list[np.ndarray]:
+    """Permutation matrices of sigma and phi acting on F_p[G] by left
+    multiplication."""
+    els = tower.group_elements()
+    idx = {g: i for i, g in enumerate(els)}
+    mats = []
+    for h in (tower.sigma, tower.phi):
+        M = np.zeros((len(els), len(els)), dtype=np.int64)
+        for g in els:
+            M[idx[tower.compose(h, g)], idx[g]] = 1
+        mats.append(M)
+    return mats
+
+
+def simple_classes_oracle_check(tower: TameTower, seed: int = 0) -> VerificationReport:
+    """The closed-form simple classes against a randomized MeatAxe chop of
+    the regular representation: equal sorted (fingerprint, End degree,
+    multiplicity in the regular module) lists."""
+    p = tower.p
+    chopped = sorted(
+        (fingerprint(tower, *c.gens), modrep.end_field(c.gens, p)[0], c.multiplicity)
+        for c in modrep.chop(regular_representation(tower), p, seed=seed))
+    closed = [(c.fingerprint, c.end_degree, c.multiplicity_in_regular)
+              for c in simple_classes(tower)]
+    report = VerificationReport()
+    report.add(f"simple-classes[{_tag(tower)}]", len(closed), len(chopped))
+    report.add_bool(f"simple-classes-oracle[{_tag(tower)}]", sorted(closed) == chopped)
+    return report
+
+
 def _level_part(basis, coords, i):
     mask = basis.levels() == i
     return np.asarray(coords) * mask
 
 
-def _tag(result: EnumerationResult) -> str:
+def _tag(result: EnumerationResult | TameTower) -> str:
     b = result.base
     kind = f"Q_{b.q}" if b.char == 0 else f"F_{b.q}((t))"
     return f"{kind},n={result.n}"
@@ -284,7 +315,7 @@ def precision_stability_check(result: EnumerationResult) -> VerificationReport:
         return report
     bigger = enumerate_primitive(
         base, n, precision=result.options["precision"] + result.tower.e,
-        seed=result.options["seed"], use_cache=False)
+        seed=result.options["seed"])
     same = [r.to_dict() for r in result.records] == [r.to_dict() for r in bigger.records]
     report.add_bool(f"precision-stability[{_tag(result)}]", same)
     return report
@@ -305,7 +336,7 @@ def cross_checks(result: EnumerationResult, *, brute: bool = True,
 def quadratic_catalog_check(seed: int = 0) -> VerificationReport:
     """The full degree-2 catalog of Q_2 against the valuation-only oracle."""
     report = VerificationReport()
-    result = enumerate_primitive(BaseField(2, 1, 0), 1, seed=seed, use_cache=False)
+    result = enumerate_primitive(BaseField(2, 1, 0), 1, seed=seed)
     report.add("q2-quadratics-count", len(result.records), 7)
     report.add("q2-quadratics-d-multiset",
                sorted(r.different_exponent for r in result.records),

@@ -35,29 +35,36 @@ def test_enumerate_charp_level_bound_counts(tmp_path, monkeypatch):
 
 
 def test_byte_identical_reruns_and_thread_modes(tmp_path, monkeypatch):
+    # the retired thread and cache flags are accepted and change nothing
     outs = []
     for name, extra in [("a.json", []), ("b.json", []),
                         ("c.json", ["--single-thread"]),
-                        ("d.json", ["--workers", "7"])]:
+                        ("d.json", ["--workers", "7"]),
+                        ("e.json", ["--cache-dir", str(tmp_path / "elsewhere")]),
+                        ("f.json", ["--no-cache"])]:
         out = tmp_path / name
         code = run(["enumerate", "--p", "2", "--f", "1", "--char", "0", "--n", "2",
                     "--out", str(out)] + extra, tmp_path, monkeypatch)
         assert code == 0
         outs.append(out.read_bytes())
-    assert outs[0] == outs[1] == outs[2] == outs[3]
+    assert all(o == outs[0] for o in outs)
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["a.json", "b.json", "c.json", "d.json", "e.json", "f.json"]
 
 
-def test_cache_cold_warm_and_delete(tmp_path, monkeypatch):
+def test_no_cache_is_read_or_written(tmp_path, monkeypatch, capsys):
+    # a stale file where the retired simple-class cache kept its entries
     cache = tmp_path / "cache"
-    args = ["enumerate", "--p", "2", "--f", "1", "--char", "0", "--n", "2"]
-    out1, out2, out3 = (tmp_path / n for n in ("1.json", "2.json", "3.json"))
-    assert run(args + ["--out", str(out1)], tmp_path, monkeypatch) == 0
-    assert cache.exists() and list(cache.iterdir())
-    assert run(args + ["--out", str(out2)], tmp_path, monkeypatch) == 0
-    for f in cache.iterdir():
-        f.unlink()
-    assert run(args + ["--out", str(out3)], tmp_path, monkeypatch) == 0
-    assert out1.read_bytes() == out2.read_bytes() == out3.read_bytes()
+    cache.mkdir()
+    stale = cache / "classes-p2-f1-char0-n2-seed0-v0.1.0.json"
+    stale.write_text("not json")
+    args = ["--p", "2", "--f", "1", "--char", "0", "--n", "2"]
+    out = tmp_path / "cat.json"
+    assert run(["enumerate"] + args + ["--out", str(out)], tmp_path, monkeypatch) == 0
+    assert len(json.loads(out.read_bytes())["records"]) == 4
+    assert run(["reps"] + args, tmp_path, monkeypatch) == 0
+    assert "simple classes of dimension 2: 2" in capsys.readouterr().out
+    assert list(cache.iterdir()) == [stale]
 
 
 def test_csv_json_round_trip(tmp_path, monkeypatch):
@@ -143,25 +150,6 @@ def test_stdout_output(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr().out
     cat = json.loads(captured)
     assert len(cat["records"]) == 7
-
-
-def test_cache_env_var_respected(tmp_path, monkeypatch):
-    custom = tmp_path / "elsewhere"
-    monkeypatch.setenv("WILDPRIM_CACHE_DIR", str(custom))
-    monkeypatch.chdir(tmp_path)
-    out = tmp_path / "cat.json"
-    assert main(["enumerate", "--p", "2", "--f", "1", "--char", "0", "--n", "1",
-                 "--out", str(out)]) == 0
-    assert custom.exists()
-
-
-def test_no_cache_flag(tmp_path, monkeypatch):
-    monkeypatch.setenv("WILDPRIM_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.chdir(tmp_path)
-    out = tmp_path / "cat.json"
-    assert main(["enumerate", "--p", "2", "--f", "1", "--char", "0", "--n", "1",
-                 "--no-cache", "--out", str(out)]) == 0
-    assert not (tmp_path / "cache").exists()
 
 
 def test_full_suite_tower_list_is_well_formed():

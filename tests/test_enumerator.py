@@ -5,8 +5,9 @@ import pytest
 
 from wildprim import modrep
 from wildprim.enumerator import (enumerate_primitive, list_representations,
-                                 regular_representation, simple_classes)
+                                 simple_classes)
 from wildprim.tower import BaseField, build_tower
+from wildprim.verify import regular_representation, simple_classes_oracle_check
 
 Q2 = BaseField(2, 1, 0)
 Q3 = BaseField(3, 1, 0)
@@ -124,13 +125,45 @@ def test_reps_charp_unramified_cubic_class_not_absolutely_irreducible():
 
 
 def test_simple_classes_seed_invariant_multiplicities():
+    # the chop's random path does not change what it finds, and that is
+    # what the closed form builds
     tower = build_tower(Q2, 2)
-    views = []
     for seed in (0, 1, 5):
-        classes = simple_classes(tower, seed=seed, use_cache=False)
-        views.append(sorted((c.fingerprint, c.multiplicity_in_regular)
-                            for c in classes))
-    assert views[0] == views[1] == views[2]
+        report = simple_classes_oracle_check(tower, seed)
+        assert report.passed, report.render()
+
+
+# (p, f, char, n): every tower whose regular representation chops in about
+# 2 s or less, in both characteristics, p = 2..13
+ORACLE_TOWERS = [
+    (2, 1, 0, 1), (2, 1, 0, 2), (2, 1, 0, 3), (3, 1, 0, 1), (3, 1, 0, 2),
+    (2, 2, 0, 2), (2, 3, 0, 2), (3, 2, 0, 1), (5, 2, 0, 1), (3, 3, 0, 1),
+    (7, 2, 0, 1), (5, 1, 0, 1), (7, 1, 0, 1), (11, 1, 0, 1), (13, 1, 0, 1),
+    (2, 2, 2, 1), (2, 2, 2, 2), (5, 1, 5, 1), (2, 1, 2, 3),
+]
+
+
+@pytest.mark.parametrize("p,f,char,n", ORACLE_TOWERS)
+def test_closed_form_classes_match_the_chop(p, f, char, n):
+    report = simple_classes_oracle_check(build_tower(BaseField(p, f, char), n))
+    assert report.passed, report.render()
+
+
+def test_simple_classes_of_q2_n4():
+    classes = simple_classes(build_tower(Q2, 4))
+    assert len(classes) == 25
+    assert len({c.fingerprint for c in classes}) == 25  # pairwise non-isomorphic
+    assert sum(c.dim == 4 for c in classes) == 7
+    assert sum(c.dim * c.multiplicity_in_regular for c in classes) == 900
+
+
+def test_pipeline_never_chops(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the pipeline called the reference chop")
+    monkeypatch.setattr(modrep, "chop", forbidden)
+    monkeypatch.setattr("wildprim.verify.regular_representation", forbidden)
+    assert len(enumerate_primitive(Q2, 2).records) == 4
+    assert len(list_representations(Q2, 2)) == 2
 
 
 def test_catalog_deterministic_across_seeds():
@@ -157,7 +190,7 @@ def test_regular_representation_is_faithful_permutation():
 
 def test_chop_regular_accounts_for_group_order():
     tower = build_tower(Q2, 2)
-    classes = simple_classes(tower, use_cache=False)
+    classes = simple_classes(tower)
     total = sum(c.dim * c.multiplicity_in_regular for c in classes)
     assert total == tower.group_order
 

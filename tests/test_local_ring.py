@@ -220,3 +220,44 @@ def test_frobenius_matrix_is_ring_hom():
         a = np.array([rng.randrange(co.pm) for _ in range(co.f)], dtype=np.int64)
         fa = (Fm @ a) % co.pm
         assert co.residue_of(fa) == co.residue_of(a) ** 2
+
+
+def _reference_mul(ring, a, b):
+    """Product of two char-0 elements with Python integers: convolve in pi
+    and x, fold pi^e = p, reduce modulo the lifted residue modulus and p^m."""
+    e, f, pm = ring.e, ring.fprime, ring.coeff.pm
+    h = [int(c) for c in ring.coeff.h]
+    wide = [[0] * (2 * f - 1) for _ in range(2 * e - 1)]
+    for i in range(e):
+        for j in range(e):
+            for u in range(f):
+                for v in range(f):
+                    wide[i + j][u + v] += int(a[i, u]) * int(b[j, v])
+    for k in range(2 * e - 2, e - 1, -1):
+        wide[k - e] = [x + ring.p * y for x, y in zip(wide[k - e], wide[k])]
+    out = np.zeros((e, f), dtype=np.int64)
+    for i in range(e):
+        row = wide[i]
+        for k in range(2 * f - 2, f - 1, -1):
+            top, row[k] = row[k], 0
+            for t in range(f):
+                row[k - f + t] -= top * h[t]
+        out[i] = [x % pm for x in row[:f]]
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_mul_matches_python_int_reference(p):
+    # the ring of the n = 1 tower over Q_p: e = f' = p - 1
+    ring = ring_create(0, p, p - 1, p - 1)
+    rng = random.Random(p)
+    for _ in range(10):
+        a, b = (np.array([[rng.randrange(ring.coeff.pm) for _ in range(ring.fprime)]
+                          for _ in range(ring.e)], dtype=np.int64) for _ in range(2))
+        product = RingElt(ring, a) * RingElt(ring, b)
+        assert np.array_equal(product.data, _reference_mul(ring, a, b))
+
+
+def test_ring_refuses_int64_overflow():
+    with pytest.raises(ValueError, match="overflow"):
+        ring_create(0, 41, 40, 40)

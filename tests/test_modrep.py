@@ -228,6 +228,34 @@ def test_multiplicity_count_formula():
         sorted(tuple(r.ravel()) for r in brute)
 
 
+def test_brute_matches_full_scan_at_p3():
+    # trivial line + two copies of the plane where x^2 + 1 (irreducible mod 3)
+    # acts + a Jordan block: 4 simple lines and (9^2 - 1)/(9 - 1) = 10 planes
+    p = 3
+    R = np.array([[0, 2], [1, 0]], dtype=np.int64)
+    J = np.array([[1, 1], [0, 1]], dtype=np.int64)
+    M = np.zeros((7, 7), dtype=np.int64)
+    M[0, 0] = 1
+    for k, B in ((1, R), (3, R), (5, J)):
+        M[k:k + 2, k:k + 2] = B
+    gens = [M]
+
+    def digits(code, n):
+        return np.array([(code // p ** i) % p for i in range(n)], dtype=np.int64)
+
+    for n, count in ((1, 4), (2, 10)):
+        full = set()
+        for code in range(1, p ** 7):
+            rows = spin(gens, digits(code, 7), p)
+            if rows.shape[0] == n and all(
+                    spin(gens, digits(c, n) @ rows % p, p).shape[0] == n
+                    for c in range(1, p ** n)):
+                full.add(tuple(rows.ravel()))
+        brute = brute_simple_submodules(gens, n, p)
+        assert len(full) == count
+        assert [tuple(r.ravel()) for r in brute] == sorted(full)
+
+
 def test_image_canonical():
     A = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.int64).T
     rows = image(A, 2)
