@@ -31,7 +31,7 @@ import numpy as np
 
 from . import modrep
 from .errors import InvariantViolation
-from .finitefield import abs_trace, pth_root, solve_artin_schreier
+from .finitefield import FFElt, abs_trace, pth_root
 from .localring import RingElt
 from .tower import GroupElt, TameTower
 
@@ -108,7 +108,7 @@ def kummer_basis(tower: TameTower) -> ClassBasis:
         one + RingElt.teichmuller(ring, b0) * RingElt.uniformizer(ring, bl)))
 
     basis = ClassBasis(tower, vectors, aux={
-        "c_index": c, "boundary_level": bl, "c_res": c_res, "b0": b0,
+        "c_index": c, "boundary_level": bl, "b0": b0, "as_matrix": as_matrix,
         "inv_reps": {i: v.rep.inv() for i, v in enumerate(vectors)
                      if v.kind != "uniformizer-class"},
     })
@@ -160,8 +160,8 @@ def _reduce_kummer(basis: ClassBasis, x: RingElt) -> np.ndarray:
     F = tower.residue
     bl = basis.boundary_level
     c = basis.c_index
-    c_res = basis.aux["c_res"]
     b0 = basis.aux["b0"]
+    as_matrix = basis.aux["as_matrix"]
     inv_reps = basis.aux["inv_reps"]
     one = RingElt.one(ring)
     coords = np.zeros(basis.dim, dtype=np.int64)
@@ -179,21 +179,21 @@ def _reduce_kummer(basis: ClassBasis, x: RingElt) -> np.ndarray:
             break
         a = w.divide_uniformizer_power(lv).residue()
         if lv == bl:
-            tau = None
-            for t in range(p):
-                sol = solve_artin_schreier(c_res, a - t * b0)
-                if sol is not None:
-                    tau = t
-                    break
-            if tau is None:
+            # the first tau with a - tau*b0 in the image of t -> t^p + c_res*t
+            for tau in range(p):
+                rhs = np.array((a - tau * b0).coeffs, dtype=np.int64)
+                try:
+                    sol = FFElt(F, modrep.solve(as_matrix, rhs, p))
+                except ValueError:  # a - tau*b0 lies outside the image
+                    continue
+                break
+            else:
                 raise InvariantViolation("boundary cokernel must have order p")
             # a != 0 forces tau > 0 or sol != 0, so the strip is never trivial
             strip = one
             if tau:
                 coords[basis.position("boundary", bl)] = tau
-                bd_inv = inv_reps[basis.position("boundary", bl)]
-                for _ in range(tau):
-                    strip = strip * bd_inv
+                strip = inv_reps[basis.position("boundary", bl)] ** tau
             if not sol.is_zero():
                 lift = one + RingElt.monomial(ring, c, sol)
                 strip = strip * lift.pth_power().inv()
@@ -208,9 +208,7 @@ def _reduce_kummer(basis: ClassBasis, x: RingElt) -> np.ndarray:
         for j, cj in enumerate(a.coeffs):
             if cj:
                 coords[basis.position("unit-level", lv, j)] = cj
-                inv = inv_reps[basis.position("unit-level", lv, j)]
-                for _ in range(cj):
-                    strip = strip * inv
+                strip = strip * inv_reps[basis.position("unit-level", lv, j)] ** cj
         u = u * strip
     return coords
 
@@ -261,8 +259,8 @@ def class_representative(basis: ClassBasis, coords) -> RingElt:
     if basis.char == 0:
         out = RingElt.one(ring)
         for c, vec in zip(coords, basis.vectors):
-            for _ in range(int(c)):
-                out = out * vec.rep
+            if c:
+                out = out * vec.rep ** int(c)
         return out
     out = RingElt.zero(ring)
     for c, vec in zip(coords, basis.vectors):

@@ -48,26 +48,19 @@ class SimpleClassInfo:
         return [self.sigma, self.phi]
 
 
-def _element_matrices(tower: TameTower, sigma: np.ndarray, phi: np.ndarray):
-    """Matrix of every group element (a, b) -> sigma^a phi^b, in lex order."""
-    p = tower.p
-    dim = sigma.shape[0]
-    pow_s = [np.eye(dim, dtype=np.int64)]
-    for _ in range(tower.e - 1):
-        pow_s.append(modrep.mm(pow_s[-1], sigma, p))
-    pow_p = [np.eye(dim, dtype=np.int64)]
-    for _ in range(tower.s * tower.e - 1):
-        pow_p.append(modrep.mm(pow_p[-1], phi, p))
-    return [(g, modrep.mm(pow_s[g[0]], pow_p[g[1]], p))
-            for g in tower.group_elements()]
-
-
 def fingerprint(tower: TameTower, sigma: np.ndarray, phi: np.ndarray) -> tuple:
-    """(dim, charpoly of every group element): an isomorphism invariant that
-    separates classes sharing sorted fixed-space data."""
-    cps = tuple(tuple(modrep.charpoly(M, tower.p))
-                for _, M in _element_matrices(tower, sigma, phi))
-    return (sigma.shape[0], cps)
+    """(dim, charpoly of every group element (a, b) -> sigma^a phi^b in lex
+    order): an isomorphism invariant that separates classes sharing sorted
+    fixed-space data.  The characteristic polynomial is a class function, so
+    it is taken once per conjugacy class."""
+    p = tower.p
+    cps = {}
+    for cls in tower.conjugacy_classes:
+        a, b = cls[0]
+        cp = tuple(modrep.charpoly(
+            modrep.mm(modrep._mat_pow(sigma, a, p), modrep._mat_pow(phi, b, p), p), p))
+        cps.update((g, cp) for g in cls)
+    return (sigma.shape[0], tuple(cps[g] for g in tower.group_elements()))
 
 
 def _inertia_exponent(tower: TameTower, sigma: np.ndarray) -> int:

@@ -14,7 +14,7 @@ first root of its modulus inside the big field.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 import numpy as np
@@ -93,9 +93,16 @@ class FFElt:
         return out
 
     def inverse(self) -> "FFElt":
+        """Extended Euclid on (modulus, self), keeping s * self = r mod modulus."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return self ** (self.field.order - 2)
+        F, p = self.field, self.field.p
+        r0, r1, s0, s1 = list(F.modulus), gfpoly.trim(list(self.coeffs)), [], [1]
+        while len(r1) > 1:
+            q, r = gfpoly.divmod_poly(r0, r1, p)
+            r0, r1, s0, s1 = r1, r, s1, gfpoly.sub(s0, gfpoly.mul(q, s1, p), p)
+        s = gfpoly.scale(s1, pow(r1[0], p - 2, p), p)
+        return FFElt(F, s + [0] * (F.f - len(s)))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -177,6 +184,12 @@ class FiniteField:
                     out[i] += hi * red[i]
         return tuple(c % p for c in out[:f])
 
+    @cached_property
+    def root_matrix(self) -> np.ndarray:
+        """F_p-matrix of the p-th root x -> x^(p^(f-1)): the (f-1)-th power
+        of the matrix of x -> x^p."""
+        return modrep._mat_pow(self.linear_matrix(lambda t: t ** self.p), self.f - 1, self.p)
+
     def element(self, coeffs) -> FFElt:
         return FFElt(self, coeffs)
 
@@ -224,7 +237,7 @@ def frobenius(x: FFElt, k: int = 1) -> FFElt:
 
 
 def pth_root(x: FFElt) -> FFElt:
-    return frobenius(x, x.field.f - 1)
+    return FFElt(x.field, x.field.root_matrix @ np.array(x.coeffs, dtype=np.int64))
 
 
 class Embedding:

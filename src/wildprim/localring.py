@@ -7,6 +7,11 @@ An element is an (e, f') int64 array of coefficient polynomials plus a
 validity window w: the element is known modulo pi^w.  All stored elements
 are integral (valuation >= 0); window bookkeeping is conservative
 (min of the operand windows), which is exact for integral elements.
+A product is one Kronecker-substituted convolution: each operand's rows
+are laid end to end at stride 2f'-1, so row i, coefficient u sits at
+index i(2f'-1) + u, and row products (at most 2f'-1 long) cannot overlap;
+the first (2e-1)(2f'-1) entries of the convolution, reshaped, are the
+pi- and x-products before pi^e = p is folded and h is reduced.
 
 Equal characteristic: elements are finite Laurent combinations
 {exponent -> residue coefficient} in the uniformizer u with u^e = t; the
@@ -21,6 +26,7 @@ filtration index downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,11 +64,8 @@ class CoeffRing:
                 if hi:
                     cur = (cur + hi * base) % self.pm
         self._red = red
-        self._frob = None
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.f == 1:
-            return (a * b) % self.pm
         wide = np.convolve(a, b)
         return self.reduce_wide(wide[None, :])[0]
 
@@ -70,11 +73,6 @@ class CoeffRing:
         """Reduce rows of length 2f-1 modulo h (and p^m)."""
         f_ = self.f
         wide = wide % self.pm
-        if f_ == 1:
-            return wide
-        if wide.shape[1] < 2 * f_ - 1:
-            pad = np.zeros((wide.shape[0], 2 * f_ - 1 - wide.shape[1]), dtype=np.int64)
-            wide = np.concatenate([wide, pad], axis=1)
         return (wide[:, :f_] + wide[:, f_:] @ self._red) % self.pm
 
     def one(self) -> np.ndarray:
@@ -110,21 +108,30 @@ class CoeffRing:
         return y
 
     def teichmuller(self, a: FFElt) -> np.ndarray:
-        """The unique lift with z^(p^f) = z and residue a."""
+        """The unique lift with z^(p^f) = z and residue a: the fixed point of
+        z -> phi^{-1}(z^p), each step of which gains one p-adic digit."""
         z = self.lift(a)
+        phi_inv = self.frobenius_power(-1)
         for _ in range(self.m + 1):
-            z = self.pow(z, self.p ** self.f)
+            z = (phi_inv @ self.pow(z, self.p)) % self.pm
         return z
+
+    @cached_property
+    def _frob_pows(self) -> list[np.ndarray]:
+        F1 = self.frobenius_matrix()
+        pows = [np.eye(self.f, dtype=np.int64)]
+        for _ in range(self.f - 1):
+            pows.append((F1 @ pows[-1]) % self.pm)
+        return pows
+
+    def frobenius_power(self, k: int) -> np.ndarray:
+        """Matrix of phi^k (k mod f), phi the Frobenius lift."""
+        return self._frob_pows[k % self.f]
 
     def frobenius_matrix(self) -> np.ndarray:
         """Matrix (columns = images of x^j) of the p-power Frobenius lift,
         the ring map sending x to the Hensel root of h congruent to x^p."""
-        if self._frob is not None:
-            return self._frob
         f_ = self.f
-        if f_ == 1:
-            self._frob = np.eye(1, dtype=np.int64)
-            return self._frob
         gen = self.residue.gen
         r = self.lift(gen ** self.p)
         hp = np.array([(i * int(self.h[i])) % self.pm for i in range(1, f_ + 1)],
@@ -138,8 +145,7 @@ class CoeffRing:
         cols = [self.one()]
         for _ in range(f_ - 1):
             cols.append(self.mul(cols[-1], r))
-        self._frob = np.stack(cols, axis=1)
-        return self._frob
+        return np.stack(cols, axis=1)
 
     def _poly_at(self, poly: np.ndarray, z: np.ndarray) -> np.ndarray:
         acc = np.zeros(self.f, dtype=np.int64)
@@ -174,8 +180,9 @@ def ring_create(char: int, p: int, fprime: int, e: int, prec: int | None = None)
     residue = field_create(p, fprime)
     if char == 0:
         m = -(-prec // e) + 2
-        # RingElt.__mul__ sums up to e*f' unreduced products below p^(2m)
-        # in int64 before reducing; refuse rings where that sum can wrap.
+        # A Kronecker product coefficient (RingElt.__mul__) sums at most
+        # e*f' unreduced products below p^(2m), a Frobenius matvec or
+        # matrix product f'; refuse rings where such a sum can wrap int64.
         if max(e, 1) * fprime * (p ** m - 1) ** 2 >= 1 << 63:
             raise ValueError(
                 f"coefficients modulo {p}^{m} at ramification {e} and residue "
@@ -285,18 +292,13 @@ class RingElt:
         if ring.char == 0:
             w = min(self.window, other.window)
             e, f = ring.e, ring.fprime
-            wide = np.zeros((2 * e - 1, 2 * f - 1), dtype=np.int64)
-            for i in range(e):
-                if not np.any(self.data[i]):
-                    continue
-                for j in range(e):
-                    if not np.any(other.data[j]):
-                        continue
-                    if f == 1:
-                        wide[i + j, 0] += self.data[i, 0] * other.data[j, 0]
-                    else:
-                        wide[i + j, :] += np.convolve(self.data[i], other.data[j])
-            wide %= ring.coeff.pm
+            stride = 2 * f - 1
+            a = np.zeros((e, stride), dtype=np.int64)
+            b = np.zeros((e, stride), dtype=np.int64)
+            a[:, :f] = self.data
+            b[:, :f] = other.data
+            wide = np.convolve(a.ravel(), b.ravel())[:(2 * e - 1) * stride]
+            wide = wide.reshape(2 * e - 1, stride) % ring.coeff.pm
             for k in range(2 * e - 2, e - 1, -1):
                 wide[k - e] += ring.p * wide[k]
             return RingElt(ring, ring.coeff.reduce_wide(wide[:e]), w)
@@ -319,12 +321,20 @@ class RingElt:
         v = min(self.data) if self.data else 0
         return v + other.window
 
+    def __pow__(self, k: int) -> "RingElt":
+        """self^k (k >= 0) by square and multiply."""
+        out, base = None, self
+        while k:
+            if k & 1:
+                out = base if out is None else out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return RingElt.one(self.ring) if out is None else out
+
     def pth_power(self) -> "RingElt":
         if self.ring.char == 0:
-            out = self
-            for _ in range(self.ring.p - 1):
-                out = out * self
-            return out
+            return self ** self.ring.p
         # freshman's dream: coefficientwise Frobenius, exponents times p
         return RingElt(self.ring, {k * self.ring.p: v ** self.ring.p
                                    for k, v in self.data.items()},
@@ -336,8 +346,7 @@ class RingElt:
         if self.val() != 0:
             raise ZeroDivisionError("inverse of a non-unit")
         r = self.leading()[1]
-        y = RingElt.monomial(ring, 0, r.inverse()) if ring.char != 0 else \
-            RingElt(ring, _const_data(ring, ring.coeff.lift(r.inverse())))
+        y = RingElt.monomial(ring, 0, r.inverse())
         two = RingElt.from_int(ring, 2)
         if ring.char == 0:
             steps = max(1, (ring.full_window - 1).bit_length() + 1)
@@ -438,9 +447,3 @@ class RingElt:
 
     def __repr__(self):
         return f"RingElt(window={self.window})"
-
-
-def _const_data(ring: RingDesc, coeff_vec: np.ndarray) -> np.ndarray:
-    data = np.zeros((ring.e, ring.fprime), dtype=np.int64)
-    data[0] = coeff_vec
-    return data

@@ -20,6 +20,7 @@ Frobenius to coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -97,13 +98,8 @@ class TameTower:
         if base.char == 0:
             co = self.ring.coeff
             self._zeta_pows = [co.teichmuller(self.zeta ** i) for i in range(self.e)]
-            F1 = co.frobenius_matrix()
-            self._frob_pows = [np.eye(co.f, dtype=np.int64)]
-            for _ in range(self.fprime - 1):
-                self._frob_pows.append((F1 @ self._frob_pows[-1]) % co.pm)
         else:
             self._zeta_pows = None
-            self._frob_pows = None
 
     # ---- group structure ----
 
@@ -126,6 +122,24 @@ class TameTower:
     def group_elements(self) -> list[GroupElt]:
         return [(a, b) for a in range(self.e) for b in range(self.s * self.e)]
 
+    @cached_property
+    def conjugacy_classes(self) -> list[list[GroupElt]]:
+        """Each class (led by its lex-least element) as the closure of that
+        element under conjugation by sigma and phi."""
+        conj = [(h, self.inverse(h)) for h in (self.sigma, self.phi)]
+        seen: set[GroupElt] = set()
+        classes = []
+        for g in self.group_elements():
+            if g not in seen:
+                seen.add(g)
+                classes.append([g])
+                for x in classes[-1]:
+                    for y in (self.compose(self.compose(h, x), hi) for h, hi in conj):
+                        if y not in seen:
+                            seen.add(y)
+                            classes[-1].append(y)
+        return classes
+
     # ---- action on the ring ----
 
     def apply(self, g: GroupElt, x: RingElt) -> RingElt:
@@ -137,8 +151,7 @@ class TameTower:
             co = self.ring.coeff
             data = x.data
             if b:
-                Fb = self._frob_pows[(self.base.f * b) % self.fprime]
-                data = (data @ Fb.T) % co.pm
+                data = (data @ co.frobenius_power(self.base.f * b).T) % co.pm
             if a and self.e > 1:
                 out = np.empty_like(data)
                 for i in range(self.e):

@@ -157,6 +157,28 @@ def test_simple_classes_of_q2_n4():
     assert sum(c.dim * c.multiplicity_in_regular for c in classes) == 900
 
 
+@pytest.mark.parametrize("p,f,char,n", [(2, 1, 0, 1), (2, 1, 0, 2), (2, 1, 0, 3),
+                                        (3, 1, 0, 2), (2, 2, 2, 2)])
+def test_fingerprint_matches_per_element_charpolys(p, f, char, n):
+    # the fingerprint takes one charpoly per conjugacy class; compare it with
+    # the charpoly of every element matrix sigma^a phi^b
+    tower = build_tower(BaseField(p, f, char), n)
+    classes = tower.conjugacy_classes
+    assert sorted(g for cls in classes for g in cls) == tower.group_elements()
+
+    def power(M, k):
+        out = np.eye(M.shape[0], dtype=np.int64)
+        for _ in range(k):
+            out = modrep.mm(out, M, p)
+        return out
+
+    for c in simple_classes(tower):
+        expected = tuple(tuple(modrep.charpoly(modrep.mm(power(c.sigma, a),
+                                                         power(c.phi, b), p), p))
+                         for a, b in tower.group_elements())
+        assert c.fingerprint == (c.dim, expected)
+
+
 def test_pipeline_never_chops(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the pipeline called the reference chop")

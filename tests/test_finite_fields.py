@@ -78,6 +78,32 @@ def test_pth_root_inverts_pth_power_exhaustively(p, f):
         assert pth_root(x) ** p == x
 
 
+LARGE_FIELDS = [(2, 1), (2, 21), (3, 32), (2, 60)]
+
+
+@pytest.mark.parametrize("p,f", LARGE_FIELDS)
+def test_inverse_matches_power_q_minus_2(p, f):
+    F = field_create(p, f)
+    rng = random.Random(f)
+    for x in [F.one, F.gen] + [F.from_code(rng.randrange(1, F.order)) for _ in range(8)]:
+        if x.is_zero():  # the generator of F_p is 0
+            continue
+        y = x.inverse()
+        assert y == x ** (F.order - 2)
+        assert x * y == F.one
+
+
+@pytest.mark.parametrize("p,f", LARGE_FIELDS)
+def test_pth_root_matches_power_p_f_minus_1(p, f):
+    F = field_create(p, f)
+    rng = random.Random(f)
+    for x in [F.zero, F.one, F.gen] + [F.from_code(rng.randrange(F.order))
+                                       for _ in range(8)]:
+        r = pth_root(x)
+        assert r ** p == x
+        assert r == x ** (p ** (f - 1))
+
+
 def test_trace_of_one_in_f4_over_f2():
     F4 = field_create(2, 2)
     assert trace_to(F4.one, field_create(2, 1)).is_zero()

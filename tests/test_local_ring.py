@@ -246,11 +246,18 @@ def _reference_mul(ring, a, b):
     return out
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13])
-def test_mul_matches_python_int_reference(p):
-    # the ring of the n = 1 tower over Q_p: e = f' = p - 1
-    ring = ring_create(0, p, p - 1, p - 1)
-    rng = random.Random(p)
+# (p, f', e): the rings of the n = 1 towers over Q_5..Q_13 (e = f' = p - 1),
+# of the benchmark's Q_2 n=3, Q_3 n=2, Q_8 n=2 and Q_49 n=1, a wider f' at
+# p = 3, and the edge cases e = 1 and f' = 1
+RING_SHAPES = [pytest.param(p, p - 1, p - 1, id=str(p)) for p in (5, 7, 11, 13)] + [
+    (2, 21, 7), (3, 16, 8), (2, 18, 3), (7, 12, 6), (3, 32, 8),
+    (2, 9, 1), (3, 1, 2), (5, 1, 1)]
+
+
+@pytest.mark.parametrize("p,fprime,e", RING_SHAPES)
+def test_mul_matches_python_int_reference(p, fprime, e):
+    ring = ring_create(0, p, fprime, e)
+    rng = random.Random(p * fprime * e)
     for _ in range(10):
         a, b = (np.array([[rng.randrange(ring.coeff.pm) for _ in range(ring.fprime)]
                           for _ in range(ring.e)], dtype=np.int64) for _ in range(2))
@@ -261,3 +268,28 @@ def test_mul_matches_python_int_reference(p):
 def test_ring_refuses_int64_overflow():
     with pytest.raises(ValueError, match="overflow"):
         ring_create(0, 41, 40, 40)
+
+
+@pytest.mark.parametrize("p,fprime,e", [(2, 21, 7), (3, 16, 8), (7, 12, 6),
+                                        (3, 32, 8), (2, 9, 1), (3, 1, 2)])
+def test_teichmuller_matches_power_iteration(p, fprime, e):
+    # the defining iteration z -> z^(p^f'), m + 1 times from the plain lift
+    co = ring_create(0, p, fprime, e).coeff
+    F = co.residue
+    rng = random.Random(fprime)
+    for a in [F.one, F.gen] + [F.from_code(rng.randrange(F.order)) for _ in range(3)]:
+        z = co.lift(a)
+        for _ in range(co.m + 1):
+            z = co.pow(z, p ** fprime)
+        assert np.array_equal(co.teichmuller(a), z)
+
+
+def test_pow_matches_repeated_products(mixed_ring):
+    rng = random.Random(5)
+    x = rand_elt(mixed_ring, rng)
+    acc = RingElt.one(mixed_ring)
+    for k in range(8):
+        y = x ** k
+        assert np.array_equal(y.data, acc.data) and y.window == acc.window
+        acc = acc * x
+    assert np.array_equal(x.pth_power().data, (x * x).data)
