@@ -19,8 +19,10 @@ order 1 <= i <= B prime to p.
 reduce_class expresses an arbitrary element in this basis by peeling
 leading filtration coefficients; every step strictly increases the level,
 so it terminates within the precision window.  The recorded coordinates
-are exact: each strip divides (resp. subtracts) the actual product of
-basis representatives, never an approximation.
+are exact: in char 0 each strip multiplies by basis representatives to
+the power p - c or by a p-th power, so the class moves by exactly the
+recorded coordinates and nothing is inverted; in char p each strip
+subtracts the actual basis representatives.
 """
 
 from __future__ import annotations
@@ -109,8 +111,7 @@ def kummer_basis(tower: TameTower) -> ClassBasis:
 
     basis = ClassBasis(tower, vectors, aux={
         "c_index": c, "boundary_level": bl, "b0": b0, "as_matrix": as_matrix,
-        "inv_reps": {i: v.rep.inv() for i, v in enumerate(vectors)
-                     if v.kind != "uniformizer-class"},
+        "functional": functional,
     })
     expected = tower.group_order * tower.base.f + 2
     if basis.dim != expected:
@@ -154,6 +155,8 @@ def reduce_class(basis: ClassBasis, x: RingElt) -> np.ndarray:
 
 
 def _reduce_kummer(basis: ClassBasis, x: RingElt) -> np.ndarray:
+    # Classes live in K*/K*^p, so every strip multiplies by a p-th power or
+    # by basis representatives to the power p - c (= rep^(-c) mod p-th powers).
     tower = basis.tower
     ring = tower.ring
     p = tower.p
@@ -162,15 +165,18 @@ def _reduce_kummer(basis: ClassBasis, x: RingElt) -> np.ndarray:
     c = basis.c_index
     b0 = basis.aux["b0"]
     as_matrix = basis.aux["as_matrix"]
-    inv_reps = basis.aux["inv_reps"]
+    functional = basis.aux["functional"]
     one = RingElt.one(ring)
     coords = np.zeros(basis.dim, dtype=np.int64)
 
     v = x.val()
     coords[basis.position("uniformizer-class", 0)] = v % p
     u = x.divide_uniformizer_power(v)
-    # the prime-to-p part of the unit is p-divisible: kill it multiplicatively
-    u = u * RingElt.teichmuller(ring, u.residue().inverse())
+    # the prime-to-p part of the unit is a p-th power: kill its residue r
+    # with the p-th power of a lift of r^(-1/p)
+    r = u.residue()
+    if r != F.one:
+        u = u * RingElt.monomial(ring, 0, pth_root(r.inverse())).pth_power()
 
     while True:
         w = u - one
@@ -179,37 +185,28 @@ def _reduce_kummer(basis: ClassBasis, x: RingElt) -> np.ndarray:
             break
         a = w.divide_uniformizer_power(lv).residue()
         if lv == bl:
-            # the first tau with a - tau*b0 in the image of t -> t^p + c_res*t
-            for tau in range(p):
-                rhs = np.array((a - tau * b0).coeffs, dtype=np.int64)
-                try:
-                    sol = FFElt(F, modrep.solve(as_matrix, rhs, p))
-                except ValueError:  # a - tau*b0 lies outside the image
-                    continue
-                break
-            else:
-                raise InvariantViolation("boundary cokernel must have order p")
-            # a != 0 forces tau > 0 or sol != 0, so the strip is never trivial
-            strip = one
+            # the one tau with a - tau*b0 in the image of t -> t^p + c_res*t,
+            # the kernel of the cokernel functional
+            tau = int(functional @ a.coeffs) * pow(int(functional @ b0.coeffs), p - 2, p) % p
+            rhs = np.array((a - tau * b0).coeffs, dtype=np.int64)
+            sol = FFElt(F, modrep.solve(as_matrix, rhs, p))
+            # a != 0 forces tau > 0 or sol != 0, so the strip is never trivial;
+            # (1 - sol pi^c)^p has level-bl digit -(sol^p + c_res*sol)
             if tau:
                 coords[basis.position("boundary", bl)] = tau
-                strip = inv_reps[basis.position("boundary", bl)] ** tau
+                u = u * basis.vectors[basis.position("boundary", bl)].rep ** (p - tau)
             if not sol.is_zero():
-                lift = one + RingElt.monomial(ring, c, sol)
-                strip = strip * lift.pth_power().inv()
-            u = u * strip
+                u = u * (one + RingElt.monomial(ring, c, -sol)).pth_power()
             continue
         if lv % p == 0:
+            # (1 - b pi^(lv/p))^p has level-lv digit -b^p = -a
             b = pth_root(a)
-            lift = one + RingElt.monomial(ring, lv // p, b)
-            u = u * lift.pth_power().inv()
+            u = u * (one + RingElt.monomial(ring, lv // p, -b)).pth_power()
             continue
-        strip = one
         for j, cj in enumerate(a.coeffs):
             if cj:
                 coords[basis.position("unit-level", lv, j)] = cj
-                strip = strip * inv_reps[basis.position("unit-level", lv, j)] ** cj
-        u = u * strip
+                u = u * basis.vectors[basis.position("unit-level", lv, j)].rep ** (p - cj)
     return coords
 
 

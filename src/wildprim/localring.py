@@ -49,6 +49,7 @@ class CoeffRing:
         self.f = residue.f
         self.m = m
         self.pm = self.p ** m
+        self.ppow = self.p ** np.arange(m, dtype=np.int64)  # p^0 .. p^(m-1)
         self.h = np.array(residue.modulus, dtype=np.int64)  # degree f, monic
         # reduction matrix: row k = x^(f+k) mod h, k = 0..f-2 (over Z/p^m)
         f_ = self.f
@@ -364,21 +365,14 @@ class RingElt:
     def _stored_val(self):
         ring = self.ring
         if ring.char == 0:
-            best = None
-            for i in range(ring.e):
-                row = self.data[i]
-                nz = row[row != 0]
-                if nz.size == 0:
-                    continue
-                vp = 0
-                vals = nz.copy()
-                while np.all(vals % ring.p == 0):
-                    vals //= ring.p
-                    vp += 1
-                cand = i + ring.e * vp
-                if best is None or cand < best:
-                    best = cand
-            return best
+            rows = np.flatnonzero(np.any(self.data, axis=1))
+            if rows.size == 0:
+                return None
+            # v_p of a nonzero row (entries below p^m) = #{1 <= k < m : p^k
+            # divides every entry}
+            divides = self.data[rows, None, :] % ring.coeff.ppow[1:, None] == 0
+            vp = np.all(divides, axis=2).sum(axis=1)
+            return int((rows + ring.e * vp).min())
         return min(self.data) if self.data else None
 
     def val(self) -> int:

@@ -259,17 +259,14 @@ def restrict_action(gens, rows: np.ndarray, p: int) -> list[np.ndarray]:
     Raises ValueError if the subspace is not stable.
     """
     k = rows.shape[0]
-    out = []
-    for M in gens:
-        imgs = mm(as_fp(M, p), rows.T, p)  # columns are images of basis rows
-        S = np.zeros((k, k), dtype=np.int64)
-        for j in range(k):
-            try:
-                S[:, j] = solve(rows.T, imgs[:, j], p)
-            except ValueError:
-                raise ValueError("subspace is not stable under the action")
-        out.append(S)
-    return out
+    basis = as_fp(rows, p).T
+    # columns k.. of [rows^T | images of the rows] reduce to the coordinates
+    # of the images exactly when every pivot is among the first k columns
+    R, pivots = rref(np.concatenate([basis] + [mm(as_fp(M, p), basis, p) for M in gens],
+                                    axis=1), p)
+    if pivots != list(range(k)):
+        raise ValueError("subspace is not stable under the action")
+    return np.split(R[:, k:], len(gens), axis=1)
 
 
 def quotient_action(gens, rows: np.ndarray, p: int):
@@ -376,27 +373,59 @@ def chop(gens, p: int, seed: int = 0, max_tries: int = 200) -> list[Constituent]
 def hom_space(gens_S, gens_V, p: int) -> list[np.ndarray]:
     """Basis of equivariant maps S -> V as (dim V x dim S) matrices.
 
-    Solves X @ rho_S(g) = rho_V(g) @ X, intersecting the per-generator
-    kernels one at a time (the solution space shrinks fast, so later
-    constraints act on small coordinate spaces).
+    Standard-basis method: spin S from its standard basis vectors, taking
+    each as a new seed only outside the span so far, and record every new
+    vector s_j as a seed or as g(s_src).  An equivariant X is fixed by the
+    images y of the r seeds: X s_j = W_j y, with W_j a block identity for a
+    seed and rho_V(g) W_src otherwise.  With B = [s_j] and
+    C_g = B^-1 rho_S(g) B, X is equivariant iff
+    rho_V(g) W_j y = sum_k C_g[k, j] W_k y for all g and j: a kernel in
+    r dim V unknowns, taken one generator at a time (the second on the
+    solutions of the first).  Each solution gives X = [W_j y]_j B^-1.
     """
     gens_S = [as_fp(M, p) for M in gens_S]
     gens_V = [as_fp(M, p) for M in gens_V]
     n = gens_S[0].shape[0]
     N = gens_V[0].shape[0]
-    eye_n = np.eye(n, dtype=np.int64)
-    eye_N = np.eye(N, dtype=np.int64)
-    basis = None  # rows = coordinates of the current solution space
+    if n == 0 or N == 0:
+        return []
+    rows, pivots = [], []  # echelon form of the span so far
+    vecs, words = [], []  # words[j] = (None, seed index) or (src, generator)
+    j = r = 0
+    for i in range(n):
+        seed = np.zeros(n, dtype=np.int64)
+        seed[i] = 1
+        if not _echelon_insert(rows, pivots, seed, p)[1]:
+            continue
+        vecs.append(seed)
+        words.append((None, r))
+        r += 1
+        while j < len(vecs):  # spin: images of s_j under each generator
+            for g, MS in enumerate(gens_S):
+                img = mm(MS, vecs[j], p)
+                if _echelon_insert(rows, pivots, img, p)[1]:
+                    vecs.append(img)
+                    words.append((j, g))
+            j += 1
+    W = np.zeros((n, N, r * N), dtype=np.int64)
+    for j, (src, g) in enumerate(words):
+        if src is None:
+            W[j, :, g * N:(g + 1) * N] = np.eye(N, dtype=np.int64)
+        else:
+            W[j] = mm(gens_V[g], W[src], p)
+    B = np.stack(vecs, axis=1)
+    B_inv = inv_mat(B, p)
+    basis = None  # rows: the solutions y so far
     for MS, MV in zip(gens_S, gens_V):
-        block = (np.kron(eye_N, MS.T) - np.kron(MV, eye_n)) % p
+        C = mm(B_inv, mm(MS, B, p), p)
+        block = ((np.matmul(MV, W) - np.einsum("kj,kac->jac", C, W)) % p).reshape(-1, r * N)
         if basis is None:
             basis = kernel(block, p)
         else:
-            inner = kernel(mm(block, basis.T, p), p)
-            basis = mm(inner, basis, p)
+            basis = mm(kernel(mm(block, basis.T, p), p), basis, p)
         if basis.shape[0] == 0:
             return []
-    return [vec.reshape(N, n) for vec in basis]
+    return [mm((W @ y).T, B_inv, p) for y in basis]
 
 
 def _mat_pow(M, e: int, p: int) -> np.ndarray:

@@ -346,3 +346,66 @@ def test_homomorphism_and_kernel_charp_p3():
         rx, ry = reduce_class(basis, x), reduce_class(basis, y)
         assert np.array_equal(reduce_class(basis, x + y), (rx + ry) % 3)
         assert not reduce_class(basis, x.pth_power() - x).any()
+
+
+def _reference_reduce_kummer(basis, x):
+    """Class reduction by division: each strip multiplies by the inverse of
+    the basis representatives it records, or of a p-th power."""
+    from wildprim.errors import InvariantViolation
+    from wildprim.finitefield import FFElt, pth_root
+    tower = basis.tower
+    ring, p, F = tower.ring, tower.p, tower.residue
+    bl, c, b0 = basis.boundary_level, basis.c_index, basis.aux["b0"]
+    inv_reps = {i: v.rep.inv() for i, v in enumerate(basis.vectors)
+                if v.kind != "uniformizer-class"}
+    one = RingElt.one(ring)
+    coords = np.zeros(basis.dim, dtype=np.int64)
+    v = x.val()
+    coords[basis.position("uniformizer-class", 0)] = v % p
+    u = x.divide_uniformizer_power(v)
+    u = u * RingElt.teichmuller(ring, u.residue().inverse())
+    while True:
+        w = u - one
+        lv = w.val_at_most(bl)
+        if lv is None:
+            return coords
+        a = w.divide_uniformizer_power(lv).residue()
+        strip = one
+        if lv == bl:
+            for tau in range(p):
+                rhs = np.array((a - tau * b0).coeffs, dtype=np.int64)
+                try:
+                    sol = FFElt(F, modrep.solve(basis.aux["as_matrix"], rhs, p))
+                except ValueError:
+                    continue
+                break
+            else:
+                raise InvariantViolation("boundary cokernel must have order p")
+            if tau:
+                coords[basis.position("boundary", bl)] = tau
+                strip = inv_reps[basis.position("boundary", bl)] ** tau
+            if not sol.is_zero():
+                strip = strip * (one + RingElt.monomial(ring, c, sol)).pth_power().inv()
+        elif lv % p == 0:
+            strip = (one + RingElt.monomial(ring, lv // p, pth_root(a))).pth_power().inv()
+        else:
+            for j, cj in enumerate(a.coeffs):
+                if cj:
+                    coords[basis.position("unit-level", lv, j)] = cj
+                    strip = strip * inv_reps[basis.position("unit-level", lv, j)] ** cj
+        u = u * strip
+
+
+@pytest.mark.parametrize("base, n", [(Q2, 2), (Q3, 1), (BaseField(5, 1, 0), 1),
+                                     (BaseField(3, 2, 0), 1)])
+def test_reduction_matches_inverse_based_reference(base, n):
+    tower = build_tower(base, n)
+    basis = kummer_basis(tower)
+    for g, M in galois_matrices(basis).items():
+        for idx, vec in enumerate(basis.vectors):
+            image = _reference_reduce_kummer(basis, tower.apply(g, vec.rep))
+            assert np.array_equal(M[:, idx], image)
+    rng = random.Random(base.p * 10 + n)
+    for _ in range(20):
+        x = RingElt.uniformizer(tower.ring, rng.randrange(4)) * rand_unit(tower, rng)
+        assert np.array_equal(reduce_class(basis, x), _reference_reduce_kummer(basis, x))

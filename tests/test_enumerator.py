@@ -188,6 +188,18 @@ def test_pipeline_never_chops(monkeypatch):
     assert len(list_representations(Q2, 2)) == 2
 
 
+def test_pipeline_never_inverts(monkeypatch):
+    # p = 5 takes unit-level coordinates above 1 and boundary tau > 0
+    from wildprim.localring import RingElt
+
+    def forbidden(self):
+        raise AssertionError("the pipeline inverted a ring element")
+    monkeypatch.setattr(RingElt, "inv", forbidden)
+    assert len(enumerate_primitive(Q2, 2).records) == 4
+    assert len(enumerate_primitive(Q3, 1).records) == 10
+    assert len(enumerate_primitive(BaseField(5, 1, 0), 1).records) == 26
+
+
 def test_catalog_deterministic_across_seeds():
     a = enumerate_primitive(Q2, 2, seed=0, use_cache=False)
     b = enumerate_primitive(Q2, 2, seed=3, use_cache=False)
@@ -234,6 +246,12 @@ def test_q5_quintics_classical_count_and_mass():
     # 1 unramified + p ramified cyclic quintics
     assert sum(r.closure_order == 5 for r in res.records) == 6
     assert mass_check(BaseField(5, 1, 0)) == Fraction(5)
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_serre_mass_equals_p(p):
+    from wildprim.verify import mass_check
+    assert mass_check(BaseField(p, 1, 0)) == p
 
 
 def test_q8_quartics_structure_counts():

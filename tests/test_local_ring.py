@@ -293,3 +293,46 @@ def test_pow_matches_repeated_products(mixed_ring):
         assert np.array_equal(y.data, acc.data) and y.window == acc.window
         acc = acc * x
     assert np.array_equal(x.pth_power().data, (x * x).data)
+
+
+def _reference_stored_val(x):
+    """The per-row loop: divide each nonzero row by p while every entry is
+    divisible, and take the least i + e * v_p."""
+    ring = x.ring
+    best = None
+    for i in range(ring.e):
+        vals = x.data[i][x.data[i] != 0]
+        if vals.size == 0:
+            continue
+        vp = 0
+        while np.all(vals % ring.p == 0):
+            vals = vals // ring.p
+            vp += 1
+        if best is None or i + ring.e * vp < best:
+            best = i + ring.e * vp
+    return best
+
+
+@pytest.mark.parametrize("p,fprime,e", [(2, 6, 3), (3, 4, 2), (5, 2, 4),
+                                        (2, 3, 1), (3, 1, 1), (7, 2, 6)])
+def test_stored_val_matches_row_loop(p, fprime, e):
+    ring = ring_create(0, p, fprime, e)
+    pm, m = ring.coeff.pm, ring.m
+    rng = random.Random(p * 100 + fprime * 10 + e)
+    samples = [RingElt.zero(ring), RingElt.one(ring),
+               RingElt.from_int(ring, p ** (m - 1))]
+    for _ in range(60):
+        data = np.array([[rng.randrange(pm) for _ in range(fprime)]
+                         for _ in range(e)], dtype=np.int64)
+        for i in range(e):
+            kind = rng.randrange(4)
+            if kind == 0:
+                data[i] = 0
+            elif kind == 1:  # every entry divisible by p^k, some by p^(m-1)
+                k = rng.randrange(1, m)
+                data[i] = (data[i] * p ** k) % pm
+            elif kind == 2:
+                data[i] = [p ** (m - 1) * rng.randrange(p) for _ in range(fprime)]
+        samples.append(RingElt(ring, data))
+    for x in samples:
+        assert x._stored_val() == _reference_stored_val(x)

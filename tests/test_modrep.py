@@ -8,7 +8,8 @@ from wildprim.errors import InvariantViolation
 from wildprim.modrep import (
     brute_simple_submodules, charpoly, chop, end_field,
     enumerate_simple_submodules, hom_space, image, in_row_space, inv_mat,
-    kernel, minpoly, poly_eval_matrix, quotient_action, rank, rref, solve, spin,
+    kernel, minpoly, poly_eval_matrix, quotient_action, rank, restrict_action,
+    rref, solve, spin,
 )
 
 
@@ -140,6 +141,100 @@ def test_hom_space_dimension_equals_end_degree():
     for c in classes:
         d, _ = end_field(c.gens, 2)
         assert len(hom_space(c.gens, c.gens, 2)) == d
+
+
+def _kronecker_hom_space(gens_S, gens_V, p):
+    """Equivariant maps S -> V from the Kronecker system
+    (I (x) rho_S(g)^T - rho_V(g) (x) I) vec(X) = 0, one generator at a time."""
+    n, N = gens_S[0].shape[0], gens_V[0].shape[0]
+    basis = None
+    for MS, MV in zip(gens_S, gens_V):
+        block = (np.kron(np.eye(N, dtype=np.int64), MS.T)
+                 - np.kron(MV, np.eye(n, dtype=np.int64))) % p
+        if basis is None:
+            basis = kernel(block, p)
+        else:
+            basis = (kernel((block @ basis.T) % p, p) @ basis) % p
+    return basis
+
+
+def _random_invertible(n, p, rng):
+    while True:
+        T = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)],
+                     dtype=np.int64)
+        if rank(T, p) == n:
+            return T
+
+
+def _random_sum(pieces, count, p, rng):
+    """A direct sum of count pieces drawn with repetition, under a random
+    change of basis."""
+    chosen = [rng.choice(pieces) for _ in range(count)]
+    dim = sum(c[0].shape[0] for c in chosen)
+    T = _random_invertible(dim, p, rng)
+    T_inv = inv_mat(T, p)
+    gens = []
+    for g in range(len(chosen[0])):
+        M = np.zeros((dim, dim), dtype=np.int64)
+        at = 0
+        for c in chosen:
+            k = c[g].shape[0]
+            M[at:at + k, at:at + k] = c[g]
+            at += k
+        gens.append((T @ M @ T_inv) % p)
+    return gens
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_hom_space_matches_kronecker_reference(p):
+    rng = random.Random(p)
+    trivial = [np.eye(1, dtype=np.int64)] * 2
+    cases = [(_random_sum([trivial], 2, p, rng), _random_sum([trivial], 3, p, rng))]
+    for _ in range(60):
+        pieces = [[np.array([[rng.randrange(p) for _ in range(k)] for _ in range(k)],
+                            dtype=np.int64) for _ in range(2)]
+                  for k in (rng.randrange(1, 4) for _ in range(3))] + [trivial]
+        cases.append((_random_sum(pieces, rng.randrange(1, 3), p, rng),
+                      _random_sum(pieces, rng.randrange(1, 4), p, rng)))
+    for S, V in cases:
+        H = hom_space(S, V, p)
+        for X in H:
+            assert X.shape == (V[0].shape[0], S[0].shape[0])
+            for MS, MV in zip(S, V):
+                assert not np.any((X @ MS - MV @ X) % p)
+        ref = _kronecker_hom_space(S, V, p)
+        got = np.array([X.ravel() for X in H], dtype=np.int64).reshape(len(H), ref.shape[1])
+        assert len(H) == ref.shape[0]
+        assert np.array_equal(rref(got, p)[0], rref(ref, p)[0])
+    # trivial^2 -> trivial^3: S is not cyclic, and every 3 x 2 matrix is a map
+    assert len(hom_space(*cases[0], p)) == 6
+
+
+def _solve_per_column(gens, rows, p):
+    return [np.stack([solve(rows.T, col, p) for col in ((M @ rows.T) % p).T], axis=1)
+            for M in gens]
+
+
+def test_restrict_action_matches_per_column_solve():
+    rng = random.Random(7)
+    for p in (2, 3, 5):
+        for _ in range(15):
+            dim = rng.randrange(2, 7)
+            gens = [np.array([[rng.randrange(p) for _ in range(dim)] for _ in range(dim)],
+                             dtype=np.int64) for _ in range(2)]
+            v = np.array([rng.randrange(p) for _ in range(dim)], dtype=np.int64)
+            rows = spin(gens, v, p)
+            if rows.shape[0] == 0:
+                continue
+            # the rref basis, and another basis of the same stable subspace
+            T = _random_invertible(rows.shape[0], p, rng)
+            for basis in (rows, (T @ rows) % p):
+                got = restrict_action(gens, basis, p)
+                for S, ref in zip(got, _solve_per_column(gens, basis, p)):
+                    assert np.array_equal(S, ref)
+    # a line that is not stable under the 3-cycle
+    with pytest.raises(ValueError, match="not stable"):
+        restrict_action(c3_regular_gens(), np.array([[1, 0, 0]], dtype=np.int64), 2)
 
 
 def test_enumerate_lines_under_trivial_group():
