@@ -14,7 +14,9 @@ Equal characteristic: the additive group modulo x^p - x, materialized up
 to a pole-order bound B: one constant vector c_0 = T(x^j)^{-1} x^j, the
 first element (value order) of absolute trace 1, j the first i with
 T(x^i) != 0, and one vector a_j u^{-i} per residue basis element and pole
-order 1 <= i <= B prime to p.
+order 1 <= i <= B prime to p.  Elements here are finite Laurent
+polynomials, plain dicts {exponent: nonzero coefficient} ({0: c_0},
+{-i: a_j}); reduction reads them one coefficient at a time.
 
 reduce_class expresses an arbitrary element in this basis by peeling
 leading filtration coefficients; every step strictly increases the level,
@@ -35,7 +37,7 @@ from . import modrep
 from .errors import InvariantViolation
 from .finitefield import FFElt, abs_trace, pth_root
 from .localring import RingElt
-from .tower import GroupElt, TameTower
+from .tower import GroupElt, Laurent, TameTower
 
 
 @dataclass
@@ -43,7 +45,7 @@ class BasisVector:
     kind: str          # uniformizer-class | unit-level | boundary | pole-level | constant
     level: int         # filtration index (char 0) or pole order (char p)
     j: int             # residue-basis position
-    rep: RingElt
+    rep: RingElt | Laurent
 
 
 class ClassBasis:
@@ -127,7 +129,6 @@ def artinschreier_basis(tower: TameTower, level_bound: int) -> ClassBasis:
         raise ValueError("Artin-Schreier basis requires an equal-characteristic tower")
     if level_bound < 1:
         raise ValueError("the level bound must be positive")
-    ring = tower.ring
     p = tower.p
     F = tower.residue
     # the trace is linear: every code below T(x^j)^{-1} p^j has trace 0 or
@@ -135,19 +136,18 @@ def artinschreier_basis(tower: TameTower, level_bound: int) -> ClassBasis:
     traces = [abs_trace(F.from_code(p ** i)) for i in range(F.f)]
     j = next(i for i, t in enumerate(traces) if t)
     c0 = F.from_code(pow(traces[j], p - 2, p) * p ** j)
-    vectors = [BasisVector("constant", 0, 0, RingElt.monomial(ring, 0, c0))]
+    vectors = [BasisVector("constant", 0, 0, {0: c0})]
     for i in range(1, level_bound + 1):
         if i % p == 0:
             continue
         for j in range(F.f):
             a = F.from_code(p ** j)
-            vectors.append(BasisVector("pole-level", i, j,
-                                       RingElt.monomial(ring, -i, a)))
+            vectors.append(BasisVector("pole-level", i, j, {-i: a}))
     return ClassBasis(tower, vectors, level_bound=level_bound,
                       aux={"constant": c0, "boundary_level": 0})
 
 
-def reduce_class(basis: ClassBasis, x: RingElt) -> np.ndarray:
+def reduce_class(basis: ClassBasis, x: RingElt | Laurent) -> np.ndarray:
     """Coordinates of the class of x in the filtration-adapted basis."""
     if basis.char == 0:
         return _reduce_kummer(basis, x)
@@ -210,7 +210,7 @@ def _reduce_kummer(basis: ClassBasis, x: RingElt) -> np.ndarray:
     return coords
 
 
-def _reduce_artinschreier(basis: ClassBasis, x: RingElt) -> np.ndarray:
+def _reduce_artinschreier(basis: ClassBasis, x: Laurent) -> np.ndarray:
     tower = basis.tower
     p = tower.p
     F = tower.residue
@@ -218,7 +218,7 @@ def _reduce_artinschreier(basis: ClassBasis, x: RingElt) -> np.ndarray:
     coords = np.zeros(basis.dim, dtype=np.int64)
     # positive-valuation tails lie in the image of y -> y^p - y on the
     # maximal ideal; discard them exactly
-    work = {k: v for k, v in x.data.items() if k <= 0}
+    work = {k: v for k, v in x.items() if k <= 0}
     const = work.pop(0, None)
     if const is not None:
         coords[basis.position("constant", 0)] = abs_trace(const)
@@ -250,19 +250,12 @@ def _reduce_artinschreier(basis: ClassBasis, x: RingElt) -> np.ndarray:
 
 
 def class_representative(basis: ClassBasis, coords) -> RingElt:
-    """A representative of the class with the given coordinates."""
-    ring = basis.tower.ring
+    """A representative of the class with the given coordinates (char 0)."""
     coords = np.asarray(coords, dtype=np.int64) % basis.tower.p
-    if basis.char == 0:
-        out = RingElt.one(ring)
-        for c, vec in zip(coords, basis.vectors):
-            if c:
-                out = out * vec.rep ** int(c)
-        return out
-    out = RingElt.zero(ring)
+    out = RingElt.one(basis.tower.ring)
     for c, vec in zip(coords, basis.vectors):
-        for _ in range(int(c)):
-            out = out + vec.rep
+        if c:
+            out = out * vec.rep ** int(c)
     return out
 
 
@@ -309,14 +302,10 @@ def filtration_index(basis: ClassBasis, rows: np.ndarray):
     return i_star, straddle
 
 
-def level_of(basis: ClassBasis, rows: np.ndarray) -> int:
-    """The level delta of a stable simple subspace (wildness measure)."""
-    i_star, straddle = filtration_index(basis, rows)
-    if straddle:
-        raise InvariantViolation("subspace straddles the filtration")
-    if basis.char == 0:
-        return basis.boundary_level - i_star
-    return -i_star
+def level_of(basis: ClassBasis, i_star: int) -> int:
+    """The level delta (wildness measure) of a subspace with filtration
+    index i_star; the boundary level is 0 in char p."""
+    return basis.boundary_level - i_star
 
 
 def omega_character(basis: ClassBasis,

@@ -5,10 +5,8 @@
     wildprim verify --suite quick|full [--out F]
 
 Exit codes: 0 success, 1 verification failure or usage error, 2 invariant
-violation, 3 precision exhaustion.  enumerate and reps still accept the
-retired --single-thread, --workers K, --cache-dir DIR and --no-cache flags
-and ignore them.  --seed is recorded in the catalog metadata and changes no
-computation.
+violation, 3 precision exhaustion.  --seed is recorded in the catalog
+metadata and changes no computation.
 """
 
 from __future__ import annotations
@@ -34,12 +32,6 @@ def _add_base_flags(sub):
     sub.add_argument("--n", type=int, required=True, help="degree parameter (p^n)")
     sub.add_argument("--seed", type=int, default=0,
                      help="recorded in the catalog metadata; changes no output")
-    # accepted and ignored for one version: enumeration is serial and
-    # keeps no cache
-    sub.add_argument("--single-thread", action="store_true", help=argparse.SUPPRESS)
-    sub.add_argument("--workers", type=int, help=argparse.SUPPRESS)
-    sub.add_argument("--cache-dir", help=argparse.SUPPRESS)
-    sub.add_argument("--no-cache", action="store_true", help=argparse.SUPPRESS)
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -293,7 +293,7 @@ def _record_for(tower: TameTower, basis: ClassBasis, omega: dict,
     i_star, straddle = filtration_index(basis, rows)
     if straddle:
         raise InvariantViolation("a parameter subspace straddles the filtration")
-    delta = level_of(basis, rows)
+    delta = level_of(basis, i_star)
     _check_level_divisibility(tower, basis, delta)
     unramified = delta == 0
     if unramified and n != 1:
@@ -327,14 +327,13 @@ def _record_for(tower: TameTower, basis: ClassBasis, omega: dict,
 
 def enumerate_primitive(base: BaseField, n: int, *, level_bound: int | None = None,
                         precision: int | None = None, seed: int = 0,
-                        cache_dir: str | None = None,
                         use_cache: bool = True) -> EnumerationResult:
     """All primitive extensions of degree p^n, as extension records.
 
     Char p requires level_bound (only finitely many records have bounded
     differental exponent; the module is materialized up to that bound).
     seed is only recorded in the options (and so in the catalog metadata);
-    cache_dir and use_cache are accepted and ignored, as nothing is cached.
+    use_cache is accepted and ignored, as nothing is cached.
     """
     if base.char != 0 and level_bound is None:
         raise ValueError("equal characteristic requires a level bound")
@@ -360,15 +359,10 @@ def enumerate_primitive(base: BaseField, n: int, *, level_bound: int | None = No
     return EnumerationResult(
         base=base, n=n, records=records, tower=tower, basis=basis,
         matrices=matrices, classes=classes, omega=omega,
-        options={"seed": seed, "precision": tower.ring.prec,
+        options={"seed": seed, "precision": tower.prec,
                  "level_bound": level_bound})
 
 
-def list_representations(base: BaseField, n: int, seed: int = 0,
-                         cache_dir: str | None = None,
-                         use_cache: bool = True) -> list[SimpleClassInfo]:
-    """Simple classes of dimension n of the tower group, with metadata.
-
-    seed, cache_dir and use_cache are accepted and ignored.
-    """
+def list_representations(base: BaseField, n: int) -> list[SimpleClassInfo]:
+    """Simple classes of dimension n of the tower group, with metadata."""
     return [c for c in simple_classes(build_tower(base, n)) if c.dim == n]

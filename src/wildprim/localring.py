@@ -1,22 +1,23 @@
-"""Truncated exact arithmetic in the valuation ring of a tame tower field.
+"""Truncated exact arithmetic in the valuation ring of a mixed-characteristic
+tame tower field.
 
-Mixed characteristic: elements live in W(F_q')/p^m [pi] / (pi^e - p), the
-unramified coefficient ring (a nested polynomial ring (Z/p^m)[x]/(h) for a
-lifted residue modulus h) with a ramified layer pi whose e-th power is p.
-An element is an (e, f') int64 array of coefficient polynomials plus a
-validity window w: the element is known modulo pi^w.  All stored elements
-are integral (valuation >= 0); window bookkeeping is conservative
-(min of the operand windows), which is exact for integral elements.
+Elements live in W(F_q')/p^m [pi] / (pi^e - p), the unramified coefficient
+ring (a nested polynomial ring (Z/p^m)[x]/(h) for a lifted residue modulus
+h) with a ramified layer pi whose e-th power is p.  An element is an
+(e, f') int64 array of coefficient polynomials plus a validity window w:
+the element is known modulo pi^w.  All stored elements are integral
+(valuation >= 0); window bookkeeping is conservative (min of the operand
+windows), which is exact for integral elements.
 A product is one Kronecker-substituted convolution: each operand's rows
 are laid end to end at stride 2f'-1, so row i, coefficient u sits at
 index i(2f'-1) + u, and row products (at most 2f'-1 long) cannot overlap;
 the first (2e-1)(2f'-1) entries of the convolution, reshaped, are the
 pi- and x-products before pi^e = p is folded and h is reduced.
 
-Equal characteristic: elements are finite Laurent combinations
-{exponent -> residue coefficient} in the uniformizer u with u^e = t; the
-pipeline needs no truncation here, so arithmetic is exact (window None)
-except for series inverses, which are computed to the ring's precision.
+Equal characteristic needs no ring here: a class element there is a finite
+Laurent polynomial in the uniformizer u (u^e = t), held as a plain dict
+{exponent: nonzero residue coefficient} (see classmod and tower), and
+the pipeline never truncates, inverts or multiplies such elements.
 
 Zero detection at exhausted precision raises PrecisionExhausted rather
 than guessing: a silently truncated valuation would corrupt every
@@ -159,71 +160,55 @@ class CoeffRing:
 @dataclass(frozen=True)
 class RingDesc:
     """Descriptor of the valuation ring of one tower field."""
-    char: int            # 0 for mixed characteristic, else p
     p: int
     fprime: int          # residue degree over the prime field
-    e: int               # ramification index (pi^e = p, resp. u^e = t)
+    e: int               # ramification index (pi^e = p)
     prec: int            # working uniformizer-adic precision
-    m: int               # coefficient precision, powers of p (char 0 only)
+    m: int               # coefficient precision, powers of p
     residue: FiniteField = field(compare=False)
-    coeff: CoeffRing | None = field(compare=False)
+    coeff: CoeffRing = field(compare=False)
 
     @property
     def full_window(self) -> int:
-        return self.m * self.e if self.char == 0 else 1 << 60
+        return self.m * self.e
 
 
-def ring_create(char: int, p: int, fprime: int, e: int, prec: int | None = None) -> RingDesc:
+def ring_create(p: int, fprime: int, e: int, prec: int | None = None) -> RingDesc:
     if e % p == 0:
         raise ValueError("ramification index must be prime to p")
     if prec is None:
         prec = default_precision(p, e)
     residue = field_create(p, fprime)
-    if char == 0:
-        m = -(-prec // e) + 2
-        # A Kronecker product coefficient (RingElt.__mul__) sums at most
-        # e*f' unreduced products below p^(2m), a Frobenius matvec or
-        # matrix product f'; refuse rings where such a sum can wrap int64.
-        if max(e, 1) * fprime * (p ** m - 1) ** 2 >= 1 << 63:
-            raise ValueError(
-                f"coefficients modulo {p}^{m} at ramification {e} and residue "
-                f"degree {fprime} overflow int64 arithmetic")
-        return RingDesc(0, p, fprime, e, prec, m, residue, CoeffRing(residue, m))
-    if char != p:
-        raise ValueError("characteristic must be 0 or p")
-    return RingDesc(p, p, fprime, e, prec, 0, residue, None)
+    m = -(-prec // e) + 2
+    # A Kronecker product coefficient (RingElt.__mul__) sums at most
+    # e*f' unreduced products below p^(2m), a Frobenius matvec or
+    # matrix product f'; refuse rings where such a sum can wrap int64.
+    if max(e, 1) * fprime * (p ** m - 1) ** 2 >= 1 << 63:
+        raise ValueError(
+            f"coefficients modulo {p}^{m} at ramification {e} and residue "
+            f"degree {fprime} overflow int64 arithmetic")
+    return RingDesc(p, fprime, e, prec, m, residue, CoeffRing(residue, m))
 
 
 class RingElt:
-    """One element, char 0: data (e, f') mod p^m; char p: {exp: FFElt}."""
+    """One element: an (e, f') coefficient array mod p^m, known mod pi^window."""
 
     __slots__ = ("ring", "data", "window")
 
     def __init__(self, ring: RingDesc, data, window=None):
         self.ring = ring
-        if ring.char == 0:
-            self.data = np.asarray(data, dtype=np.int64) % ring.coeff.pm
-            self.window = ring.full_window if window is None else min(window, ring.full_window)
-        else:
-            self.data = {int(k): v for k, v in data.items() if not v.is_zero()}
-            self.window = ring.full_window if window is None else window
-            self.data = {k: v for k, v in self.data.items() if k < self.window}
+        self.data = np.asarray(data, dtype=np.int64) % ring.coeff.pm
+        self.window = ring.full_window if window is None else min(window, ring.full_window)
 
     # ---- constructors ----
 
     @staticmethod
     def zero(ring: RingDesc) -> "RingElt":
-        if ring.char == 0:
-            return RingElt(ring, np.zeros((ring.e, ring.fprime), dtype=np.int64))
-        return RingElt(ring, {})
+        return RingElt(ring, np.zeros((ring.e, ring.fprime), dtype=np.int64))
 
     @staticmethod
     def one(ring: RingDesc) -> "RingElt":
-        if ring.char == 0:
-            data = np.zeros((ring.e, ring.fprime), dtype=np.int64)
-            data[0, 0] = 1
-            return RingElt(ring, data)
-        return RingElt(ring, {0: ring.residue.one})
+        return RingElt.from_int(ring, 1)
 
     @staticmethod
     def uniformizer(ring: RingDesc, power: int = 1) -> "RingElt":
@@ -231,30 +216,23 @@ class RingElt:
 
     @staticmethod
     def monomial(ring: RingDesc, power: int, a: FFElt) -> "RingElt":
-        """a * pi^power (char 0 lifts a coefficientwise; power may be negative
-        only in equal characteristic)."""
-        if ring.char == 0:
-            if power < 0:
-                raise ValueError("negative uniformizer powers only exist in char p")
-            q, r = divmod(power, ring.e)
-            data = np.zeros((ring.e, ring.fprime), dtype=np.int64)
-            data[r] = pow(ring.p, q, ring.coeff.pm) * ring.coeff.lift(a) % ring.coeff.pm
-            return RingElt(ring, data)
-        return RingElt(ring, {power: a})
+        """a * pi^power, a lifted coefficientwise (power >= 0)."""
+        if power < 0:
+            raise ValueError("the valuation ring has no negative uniformizer powers")
+        q, r = divmod(power, ring.e)
+        data = np.zeros((ring.e, ring.fprime), dtype=np.int64)
+        data[r] = pow(ring.p, q, ring.coeff.pm) * ring.coeff.lift(a) % ring.coeff.pm
+        return RingElt(ring, data)
 
     @staticmethod
     def from_int(ring: RingDesc, n: int) -> "RingElt":
-        if ring.char == 0:
-            data = np.zeros((ring.e, ring.fprime), dtype=np.int64)
-            data[0, 0] = n % ring.coeff.pm
-            return RingElt(ring, data)
-        return RingElt(ring, {0: ring.residue.from_int(n)})
+        data = np.zeros((ring.e, ring.fprime), dtype=np.int64)
+        data[0, 0] = n % ring.coeff.pm
+        return RingElt(ring, data)
 
     @staticmethod
     def teichmuller(ring: RingDesc, a: FFElt) -> "RingElt":
-        """Multiplicative lift of a residue element (char 0)."""
-        if ring.char != 0:
-            return RingElt(ring, {0: a})
+        """Multiplicative lift of a residue element."""
         data = np.zeros((ring.e, ring.fprime), dtype=np.int64)
         data[0] = ring.coeff.teichmuller(a)
         return RingElt(ring, data)
@@ -267,22 +245,10 @@ class RingElt:
 
     def __add__(self, other):
         self._check(other)
-        w = min(self.window, other.window)
-        if self.ring.char == 0:
-            return RingElt(self.ring, self.data + other.data, w)
-        out = dict(self.data)
-        for k, v in other.data.items():
-            s = out.get(k, self.ring.residue.zero) + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return RingElt(self.ring, out, w)
+        return RingElt(self.ring, self.data + other.data, min(self.window, other.window))
 
     def __neg__(self):
-        if self.ring.char == 0:
-            return RingElt(self.ring, -self.data, self.window)
-        return RingElt(self.ring, {k: -v for k, v in self.data.items()}, self.window)
+        return RingElt(self.ring, -self.data, self.window)
 
     def __sub__(self, other):
         return self + (-other)
@@ -290,37 +256,18 @@ class RingElt:
     def __mul__(self, other):
         self._check(other)
         ring = self.ring
-        if ring.char == 0:
-            w = min(self.window, other.window)
-            e, f = ring.e, ring.fprime
-            stride = 2 * f - 1
-            a = np.zeros((e, stride), dtype=np.int64)
-            b = np.zeros((e, stride), dtype=np.int64)
-            a[:, :f] = self.data
-            b[:, :f] = other.data
-            wide = np.convolve(a.ravel(), b.ravel())[:(2 * e - 1) * stride]
-            wide = wide.reshape(2 * e - 1, stride) % ring.coeff.pm
-            for k in range(2 * e - 2, e - 1, -1):
-                wide[k - e] += ring.p * wide[k]
-            return RingElt(ring, ring.coeff.reduce_wide(wide[:e]), w)
-        # char p: exact Laurent convolution; error terms x*dy + dx*y
-        w = min(self._err_val(other), other._err_val(self))
-        out: dict[int, FFElt] = {}
-        for i, a in self.data.items():
-            for j, b in other.data.items():
-                k = i + j
-                s = out.get(k, ring.residue.zero) + a * b
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return RingElt(ring, out, w)
-
-    def _err_val(self, other: "RingElt") -> int:
-        if other.window >= other.ring.full_window:
-            return self.ring.full_window
-        v = min(self.data) if self.data else 0
-        return v + other.window
+        e, f = ring.e, ring.fprime
+        stride = 2 * f - 1
+        a = np.zeros((e, stride), dtype=np.int64)
+        b = np.zeros((e, stride), dtype=np.int64)
+        a[:, :f] = self.data
+        b[:, :f] = other.data
+        wide = np.convolve(a.ravel(), b.ravel())[:(2 * e - 1) * stride]
+        wide = wide.reshape(2 * e - 1, stride) % ring.coeff.pm
+        for k in range(2 * e - 2, e - 1, -1):
+            wide[k - e] += ring.p * wide[k]
+        return RingElt(ring, ring.coeff.reduce_wide(wide[:e]),
+                       min(self.window, other.window))
 
     def __pow__(self, k: int) -> "RingElt":
         """self^k (k >= 0) by square and multiply."""
@@ -334,46 +281,30 @@ class RingElt:
         return RingElt.one(self.ring) if out is None else out
 
     def pth_power(self) -> "RingElt":
-        if self.ring.char == 0:
-            return self ** self.ring.p
-        # freshman's dream: coefficientwise Frobenius, exponents times p
-        return RingElt(self.ring, {k * self.ring.p: v ** self.ring.p
-                                   for k, v in self.data.items()},
-                       self.window if self.window >= self.ring.full_window
-                       else self.window * self.ring.p)
+        return self ** self.ring.p
 
     def inv(self) -> "RingElt":
         ring = self.ring
         if self.val() != 0:
             raise ZeroDivisionError("inverse of a non-unit")
-        r = self.leading()[1]
-        y = RingElt.monomial(ring, 0, r.inverse())
+        y = RingElt.monomial(ring, 0, self.residue().inverse())
         two = RingElt.from_int(ring, 2)
-        if ring.char == 0:
-            steps = max(1, (ring.full_window - 1).bit_length() + 1)
-        else:
-            y = RingElt(ring, y.data, ring.prec)
-            steps = max(1, (ring.prec - 1).bit_length() + 1)
-        for _ in range(steps):
+        for _ in range(max(1, (ring.full_window - 1).bit_length() + 1)):
             y = y * (two - self * y)
-        if ring.char == 0:
-            return RingElt(ring, y.data, self.window)
-        return RingElt(ring, y.data, min(self.window, ring.prec))
+        return RingElt(ring, y.data, self.window)
 
     # ---- valuation and digits ----
 
     def _stored_val(self):
         ring = self.ring
-        if ring.char == 0:
-            rows = np.flatnonzero(np.any(self.data, axis=1))
-            if rows.size == 0:
-                return None
-            # v_p of a nonzero row (entries below p^m) = #{1 <= k < m : p^k
-            # divides every entry}
-            divides = self.data[rows, None, :] % ring.coeff.ppow[1:, None] == 0
-            vp = np.all(divides, axis=2).sum(axis=1)
-            return int((rows + ring.e * vp).min())
-        return min(self.data) if self.data else None
+        rows = np.flatnonzero(np.any(self.data, axis=1))
+        if rows.size == 0:
+            return None
+        # v_p of a nonzero row (entries below p^m) = #{1 <= k < m : p^k
+        # divides every entry}
+        divides = self.data[rows, None, :] % ring.coeff.ppow[1:, None] == 0
+        vp = np.all(divides, axis=2).sum(axis=1)
+        return int((rows + ring.e * vp).min())
 
     def val(self) -> int:
         v = self._stored_val()
@@ -394,20 +325,12 @@ class RingElt:
 
     def leading(self) -> tuple[int, FFElt]:
         v = self.val()
-        shifted = self.divide_uniformizer_power(v)
-        ring = self.ring
-        if ring.char == 0:
-            return v, ring.coeff.residue_of(shifted.data[0])
-        return v, shifted.data[0]
+        return v, self.divide_uniformizer_power(v).residue()
 
     def divide_uniformizer_power(self, k: int) -> "RingElt":
         ring = self.ring
         if k == 0:
             return self
-        if ring.char != 0:
-            # Laurent elements: negative exponents are legal in char p.
-            return RingElt(ring, {exp - k: v for exp, v in self.data.items()},
-                           self.window - k if self.window < ring.full_window else None)
         e = ring.e
         out = np.zeros_like(self.data)
         for i in range(e):
@@ -425,19 +348,16 @@ class RingElt:
         return RingElt(ring, out, self.window - k)
 
     def residue(self) -> FFElt:
-        if self.ring.char == 0:
-            return self.ring.coeff.residue_of(self.data[0])
-        return self.data.get(0, self.ring.residue.zero)
+        return self.ring.coeff.residue_of(self.data[0])
 
     def agrees_with(self, other: "RingElt") -> bool:
         """Equality up to the smaller validity window."""
         self._check(other)
-        diff = self - other
-        v = diff._stored_val()
-        return v is None or v >= diff.window
+        return (self - other).is_zero_to_window()
 
     def is_zero_to_window(self) -> bool:
-        return self._stored_val() is None or self._stored_val() >= self.window
+        v = self._stored_val()
+        return v is None or v >= self.window
 
     def __repr__(self):
         return f"RingElt(window={self.window})"

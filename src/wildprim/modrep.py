@@ -557,7 +557,12 @@ def _is_simple(gens_V, rows: np.ndarray, p: int) -> bool:
                for v in _line_representatives(n, p))
 
 
-def brute_simple_submodules(gens_V, n: int, p: int, max_dim: int = 14):
+def brute_feasible(dim: int, p: int) -> bool:
+    """Whether an exhaustive scan of a dim-dimensional F_p-space is cheap."""
+    return dim <= 14 and p ** dim <= 1 << 22
+
+
+def brute_simple_submodules(gens_V, n: int, p: int):
     """Oracle: exhaustive scan over spins of one vector per line.
 
     Every simple submodule is the spin of each of its nonzero vectors, so
@@ -565,7 +570,7 @@ def brute_simple_submodules(gens_V, n: int, p: int, max_dim: int = 14):
     """
     gens_V = [as_fp(M, p) for M in gens_V]
     dim = gens_V[0].shape[0]
-    if dim > max_dim or p ** dim > 1 << 22:
+    if not brute_feasible(dim, p):
         raise ValueError(f"brute enumeration infeasible at dimension {dim}")
     seen = {}
     for v in _line_representatives(dim, p):

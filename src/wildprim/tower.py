@@ -14,7 +14,9 @@ degree f*s*e adjoined a uniformizer with pi^e = p (u^e = t in equal
 characteristic); sigma multiplies pi by a fixed primitive e-th root of
 unity zeta (the first element of order e in the enumeration order,
 Teichmueller-lifted in characteristic 0) and phi applies the q-power
-Frobenius to coefficients.
+Frobenius to coefficients.  In characteristic 0 elements are RingElts of
+the truncated valuation ring; in characteristic p they are finite Laurent
+polynomials in u, plain dicts {exponent: nonzero residue coefficient}.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .finitefield import (FFElt, embed, field_create, first_element_of_order,
                           frobenius)
-from .localring import RingElt, ring_create
+from .localring import RingElt, default_precision, ring_create
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,7 @@ def _mult_order(a: int, modulus: int) -> int:
 
 
 GroupElt = tuple[int, int]  # (inertia exponent a mod e, Frobenius exponent b mod s*e)
+Laurent = dict[int, FFElt]  # a char p element: {exponent of u: nonzero coefficient}
 
 
 class TameTower:
@@ -83,23 +86,22 @@ class TameTower:
                 f"residue degree {self.fprime} exceeds the configured bound "
                 f"{max_residue_degree}")
         self.residue = field_create(base.p, self.fprime)
-        if self.e == 1:
-            # degenerate tower: the top is the base itself
-            self.ring = ring_create(base.char, base.p, self.fprime, 1, precision)
-            self.zeta = self.residue.one
-        else:
-            self.ring = ring_create(base.char, base.p, self.fprime, self.e, precision)
-            self.zeta = first_element_of_order(self.residue, self.e)
+        # e = 1 is the degenerate tower: the top is the base itself
+        self.zeta = (self.residue.one if self.e == 1
+                     else first_element_of_order(self.residue, self.e))
+        self.prec = default_precision(base.p, self.e) if precision is None else precision
         self.base_residue = field_create(base.p, base.f)
         self.base_embedding = embed(self.base_residue, self.residue)
         self.group_order = self.s * self.e * self.e
         self.sigma: GroupElt = (1 % self.e, 0)
         self.phi: GroupElt = (0, 1 % (self.s * self.e))
+        # the valuation ring exists in char 0 only; char p elements are
+        # Laurent dicts
+        self.ring = None
         if base.char == 0:
+            self.ring = ring_create(base.p, self.fprime, self.e, self.prec)
             co = self.ring.coeff
             self._zeta_pows = [co.teichmuller(self.zeta ** i) for i in range(self.e)]
-        else:
-            self._zeta_pows = None
 
     # ---- group structure ----
 
@@ -142,39 +144,31 @@ class TameTower:
 
     # ---- action on the ring ----
 
-    def apply(self, g: GroupElt, x: RingElt) -> RingElt:
-        """The automorphism sigma^a . phi^b applied to x."""
+    def apply(self, g: GroupElt, x: RingElt | Laurent) -> RingElt | Laurent:
+        """The automorphism sigma^a . phi^b applied to x (a RingElt in char
+        0, a Laurent dict in char p)."""
+        a, b = g
+        if self.base.char != 0:
+            out = {}
+            for k, v in x.items():
+                w = frobenius(v, (self.base.f * b) % self.fprime) if b else v
+                if a and self.e > 1:
+                    w = w * self.zeta ** ((a * k) % self.e)
+                if not w.is_zero():
+                    out[k] = w
+            return out
         if x.ring != self.ring:
             raise ValueError("element does not live in this tower's ring")
-        a, b = g
-        if self.base.char == 0:
-            co = self.ring.coeff
-            data = x.data
-            if b:
-                data = (data @ co.frobenius_power(self.base.f * b).T) % co.pm
-            if a and self.e > 1:
-                out = np.empty_like(data)
-                for i in range(self.e):
-                    out[i] = co.mul(data[i], self._zeta_pows[(a * i) % self.e])
-                data = out
-            return RingElt(self.ring, data, x.window)
-        zk = self.zeta
-        out = {}
-        for k, v in x.data.items():
-            w = frobenius(v, (self.base.f * b) % self.fprime) if b else v
-            if a and self.e > 1:
-                w = w * zk ** ((a * k) % self.e)
-            if not w.is_zero():
-                out[k] = w
-        return RingElt(self.ring, out,
-                       None if x.window >= self.ring.full_window else x.window)
-
-    def lift_base_residue(self, a: FFElt) -> RingElt:
-        """Teichmueller (resp. constant) lift of a base residue element."""
-        img = self.base_embedding(a)
-        if self.base.char == 0:
-            return RingElt.teichmuller(self.ring, img)
-        return RingElt.monomial(self.ring, 0, img)
+        co = self.ring.coeff
+        data = x.data
+        if b:
+            data = (data @ co.frobenius_power(self.base.f * b).T) % co.pm
+        if a and self.e > 1:
+            out = np.empty_like(data)
+            for i in range(self.e):
+                out[i] = co.mul(data[i], self._zeta_pows[(a * i) % self.e])
+            data = out
+        return RingElt(self.ring, data, x.window)
 
     def describe(self) -> dict:
         return {
@@ -184,7 +178,7 @@ class TameTower:
             "frobenius_order": self.s * self.e,
             "residue_degree": self.fprime,
             "group_order": self.group_order,
-            "precision": self.ring.prec,
+            "precision": self.prec,
             "residue_modulus": list(self.residue.modulus),
             "zeta_code": self.zeta.code(),
         }

@@ -23,7 +23,6 @@ from .classmod import reduce_class
 from .enumerator import (EnumerationResult, SimpleClassInfo,
                          enumerate_primitive, fingerprint, simple_classes)
 from .finitefield import abs_trace
-from .localring import RingElt
 from .tower import BaseField, TameTower
 
 
@@ -175,8 +174,7 @@ def structure_checks(result: EnumerationResult, seed: int = 0) -> VerificationRe
             for j in range(fprime):
                 a = F.from_code(p ** j)
                 # a pole at order i plus a positive tail: the tail must vanish
-                x = RingElt.monomial(tower.ring, -i, a) + \
-                    RingElt.monomial(tower.ring, 1 + (i + j) % 3, F.from_code(1))
+                x = {-i: a, 1 + (i + j) % 3: F.one}
                 coords = reduce_class(result.basis, x)
                 support_levels = result.basis.levels()[np.flatnonzero(coords)]
                 if support_levels.size and int(support_levels.max()) > i:
@@ -189,7 +187,7 @@ def structure_checks(result: EnumerationResult, seed: int = 0) -> VerificationRe
                                              for r in rows]), p),
                        expected)
         c0 = result.basis.aux["constant"]
-        coords = reduce_class(result.basis, RingElt.monomial(tower.ring, 0, c0))
+        coords = reduce_class(result.basis, {0: c0})
         report.add(f"constant-trace[{_tag(result)}]",
                    int(coords[result.basis.position("constant", 0)]), abs_trace(c0) % p)
     return report
@@ -293,7 +291,7 @@ def brute_oracle_check(result: EnumerationResult) -> VerificationReport:
     tower = result.tower
     p = tower.p
     dim = result.basis.dim
-    if dim > 14 or p ** dim > 1 << 22:
+    if not modrep.brute_feasible(dim, p):
         report.add_bool(f"brute-oracle[{_tag(result)}]", True,
                         f"skipped (dimension {dim})")
         return report

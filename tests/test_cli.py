@@ -35,21 +35,19 @@ def test_enumerate_charp_level_bound_counts(tmp_path, monkeypatch):
 
 
 def test_byte_identical_reruns_and_thread_modes(tmp_path, monkeypatch):
-    # the retired thread and cache flags are accepted and change nothing
+    # reruns are byte-identical; the retired thread and cache flags are gone
+    args = ["enumerate", "--p", "2", "--f", "1", "--char", "0", "--n", "2"]
     outs = []
-    for name, extra in [("a.json", []), ("b.json", []),
-                        ("c.json", ["--single-thread"]),
-                        ("d.json", ["--workers", "7"]),
-                        ("e.json", ["--cache-dir", str(tmp_path / "elsewhere")]),
-                        ("f.json", ["--no-cache"])]:
+    for name in ("a.json", "b.json"):
         out = tmp_path / name
-        code = run(["enumerate", "--p", "2", "--f", "1", "--char", "0", "--n", "2",
-                    "--out", str(out)] + extra, tmp_path, monkeypatch)
-        assert code == 0
+        assert run(args + ["--out", str(out)], tmp_path, monkeypatch) == 0
         outs.append(out.read_bytes())
-    assert all(o == outs[0] for o in outs)
-    assert sorted(p.name for p in tmp_path.iterdir()) == \
-        ["a.json", "b.json", "c.json", "d.json", "e.json", "f.json"]
+    assert outs[0] == outs[1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
+    for retired in (["--single-thread"], ["--workers", "7"],
+                    ["--cache-dir", str(tmp_path / "elsewhere")], ["--no-cache"]):
+        with pytest.raises(SystemExit):
+            run(args + retired, tmp_path, monkeypatch)
 
 
 def test_no_cache_is_read_or_written(tmp_path, monkeypatch, capsys):
@@ -110,8 +108,8 @@ def test_failed_invariant_exits_2(tmp_path, monkeypatch):
         d, eps = real(gens, p)
         return d + 1, eps
     monkeypatch.setattr(modrep, "end_field", one_degree_too_high)
-    code = run(["enumerate", "--p", "2", "--f", "1", "--char", "0", "--n", "2",
-                "--no-cache"], tmp_path, monkeypatch)
+    code = run(["enumerate", "--p", "2", "--f", "1", "--char", "0", "--n", "2"],
+               tmp_path, monkeypatch)
     assert code == 2
 
 

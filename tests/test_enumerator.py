@@ -104,20 +104,20 @@ def test_charp_requires_level_bound():
 
 
 def test_reps_q2_n2():
-    classes = list_representations(Q2, 2, use_cache=False)
+    classes = list_representations(Q2, 2)
     assert len(classes) == 2
     assert sorted(c.end_degree for c in classes) == [1, 2]
     assert {c.identifier for c in classes} == {"2d-0", "2d-1"}
 
 
 def test_reps_q2_n1():
-    classes = list_representations(Q2, 1, use_cache=False)
+    classes = list_representations(Q2, 1)
     assert len(classes) == 1
     assert classes[0].end_degree == 1
 
 
 def test_reps_charp_unramified_cubic_class_not_absolutely_irreducible():
-    classes = list_representations(F2T, 2, use_cache=False)
+    classes = list_representations(F2T, 2)
     # the class through the unramified cubic quotient has endomorphism degree 2
     assert sorted(c.end_degree for c in classes) == [1, 2]
     unram = next(c for c in classes if c.end_degree == 2)
@@ -198,6 +198,34 @@ def test_pipeline_never_inverts(monkeypatch):
     assert len(enumerate_primitive(Q2, 2).records) == 4
     assert len(enumerate_primitive(Q3, 1).records) == 10
     assert len(enumerate_primitive(BaseField(5, 1, 0), 1).records) == 26
+
+
+def test_charp_pipeline_builds_no_ring_element(monkeypatch):
+    # equal characteristic runs on Laurent dicts; the valuation ring is char 0
+    from wildprim.localring import RingElt
+
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError("the char p pipeline built a RingElt")
+    monkeypatch.setattr(RingElt, "__init__", forbidden)
+    res = enumerate_primitive(F2T, 2, level_bound=5)
+    assert res.tower.ring is None
+    assert res.records and all(isinstance(v.rep, dict) for v in res.basis.vectors)
+
+
+def test_one_filtration_index_per_record(monkeypatch):
+    from wildprim import classmod, enumerator
+    real = classmod.filtration_index
+    calls = []
+
+    def counted(basis, rows):
+        calls.append(1)
+        return real(basis, rows)
+    # both names a record could reach it by
+    monkeypatch.setattr(enumerator, "filtration_index", counted)
+    monkeypatch.setattr(classmod, "filtration_index", counted)
+    res = enumerate_primitive(Q2, 2)
+    assert len(res.records) == 4
+    assert len(calls) == len(res.records)
 
 
 def test_catalog_deterministic_across_seeds():

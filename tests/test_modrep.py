@@ -6,7 +6,7 @@ import pytest
 from wildprim import gfpoly, modrep
 from wildprim.errors import InvariantViolation
 from wildprim.modrep import (
-    brute_simple_submodules, charpoly, chop, end_field,
+    brute_feasible, brute_simple_submodules, charpoly, chop, end_field,
     enumerate_simple_submodules, hom_space, image, in_row_space, inv_mat,
     kernel, minpoly, poly_eval_matrix, quotient_action, rank, restrict_action,
     rref, solve, spin,
@@ -288,6 +288,14 @@ def test_enumerate_c3_planes():
     brute = brute_simple_submodules(gens, 2, 2)
     assert len(brute) == 1
     assert np.array_equal(subs[0][1], brute[0])
+
+
+def test_brute_feasibility_rule():
+    # at most 14 coordinates and 2^22 vectors
+    assert brute_feasible(14, 2) and brute_feasible(13, 3)
+    assert not brute_feasible(15, 2) and not brute_feasible(14, 3)
+    with pytest.raises(ValueError, match="infeasible"):
+        brute_simple_submodules([np.eye(14, dtype=np.int64)], 1, 3)
 
 
 def test_enumerate_matches_brute_on_lines():
