@@ -249,16 +249,6 @@ def _reduce_artinschreier(basis: ClassBasis, x: Laurent) -> np.ndarray:
     return coords
 
 
-def class_representative(basis: ClassBasis, coords) -> RingElt:
-    """A representative of the class with the given coordinates (char 0)."""
-    coords = np.asarray(coords, dtype=np.int64) % basis.tower.p
-    out = RingElt.one(basis.tower.ring)
-    for c, vec in zip(coords, basis.vectors):
-        if c:
-            out = out * vec.rep ** int(c)
-    return out
-
-
 def galois_matrices(basis: ClassBasis) -> dict[GroupElt, np.ndarray]:
     """Action matrices of sigma and phi (columns = reduced images of reps)."""
     tower = basis.tower

@@ -12,8 +12,11 @@ Representation classes are built in closed form from Clifford theory of
 the tower group (see simple_classes); their identifiers follow the order of
 structural fingerprints (dimension plus the characteristic polynomial of
 every group element), which are isomorphism invariants, so catalogs do not
-depend on the basis chosen for a class.  Nothing is random or cached; the
-degree-n classes are enumerated one after another in the calling thread.
+depend on the basis chosen for a class.  The closed form also gives each
+class's End degree d (End(S) = F_{p^d}), which the submodule enumeration
+checks its count of Hom maps per image against.  Nothing is random or
+cached; the degree-n classes are enumerated one after another in the
+calling thread.
 """
 
 from __future__ import annotations
@@ -271,19 +274,15 @@ def closure_descriptor(tower: TameTower, rho_sigma: np.ndarray, rho_phi: np.ndar
     return image_order, closure_order, label
 
 
-def _check_level_divisibility(tower: TameTower, basis: ClassBasis, delta: int) -> None:
-    p, n = tower.p, tower.n
+def level_divisibility_holds(tower: TameTower, basis: ClassBasis, delta: int) -> bool:
+    """Whether the level delta of a record obeys the divisibility rule:
+    p does not divide delta, except at n = 1 for the unramified level 0
+    and, in char 0, the tres ramifiee level p * c."""
+    p = tower.p
     if delta % p:
-        return
-    if tower.base.char == 0:
-        top = p * basis.c_index
-        if n == 1 and delta in (0, top):
-            return
-    else:
-        if n == 1 and delta == 0:
-            return
-    raise InvariantViolation(
-        f"level {delta} violates the divisibility constraint at n={n}")
+        return True
+    return tower.n == 1 and (
+        delta == 0 or (tower.base.char == 0 and delta == p * basis.c_index))
 
 
 def _record_for(tower: TameTower, basis: ClassBasis, omega: dict,
@@ -294,7 +293,9 @@ def _record_for(tower: TameTower, basis: ClassBasis, omega: dict,
     if straddle:
         raise InvariantViolation("a parameter subspace straddles the filtration")
     delta = level_of(basis, i_star)
-    _check_level_divisibility(tower, basis, delta)
+    if not level_divisibility_holds(tower, basis, delta):
+        raise InvariantViolation(
+            f"level {delta} violates the divisibility constraint at n={n}")
     unramified = delta == 0
     if unramified and n != 1:
         raise InvariantViolation("an unramified parameter can only occur at n = 1")
@@ -351,8 +352,8 @@ def enumerate_primitive(base: BaseField, n: int, *, level_bound: int | None = No
     degree_classes = [c for c in classes if c.dim == n]
     records = [_record_for(tower, basis, omega, cls, rows, gens_V)
                for cls in degree_classes
-               for _, rows in modrep.enumerate_simple_submodules(
-                   gens_V, [cls.gens()], tower.p)]
+               for rows in modrep.enumerate_simple_submodules(
+                   gens_V, cls.gens(), cls.end_degree, tower.p)]
     by_class = {cls.identifier: cls.fingerprint for cls in degree_classes}
     records.sort(key=lambda r: (r.level, by_class[r.rep_id],
                                 tuple(x for row in r.d_basis for x in row)))

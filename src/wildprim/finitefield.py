@@ -190,9 +190,6 @@ class FiniteField:
         of the matrix of x -> x^p."""
         return modrep._mat_pow(self.linear_matrix(lambda t: t ** self.p), self.f - 1, self.p)
 
-    def element(self, coeffs) -> FFElt:
-        return FFElt(self, coeffs)
-
     def from_code(self, code: int) -> FFElt:
         return FFElt(self, [(code // self.p ** i) % self.p for i in range(self.f)])
 
@@ -366,16 +363,3 @@ def first_element_of_order(F: FiniteField, e: int) -> FFElt:
     zeta0 = embed(sub, F)(g ** ((sub.order - 1) // e))
     candidates = [zeta0 ** k for k in range(1, e) if gcd(k, e) == 1]
     return min(candidates, key=lambda y: y.code())
-
-
-def solve_artin_schreier(c: FFElt, b: FFElt):
-    """Some x with x^p + c*x = b, or None; the map is F_p-linear in x."""
-    F = c.field
-    if b.field is not F:
-        raise ValueError("arguments lie in different fields")
-    A = F.linear_matrix(lambda e: e ** F.p + c * e)
-    try:
-        sol = modrep.solve(A, np.array(b.coeffs, dtype=np.int64), F.p)
-    except ValueError:
-        return None
-    return FFElt(F, sol.tolist())

@@ -24,16 +24,6 @@ def poly_code(f: list[int], p: int) -> int:
     return code
 
 
-def add(f, g, p):
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % p
-    return trim(out)
-
-
 def sub(f, g, p):
     n = max(len(f), len(g))
     out = [0] * n

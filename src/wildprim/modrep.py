@@ -11,11 +11,17 @@ The module splitter (chop) is the usual randomized MeatAxe with Norton's
 irreducibility certificate, driven by a caller-supplied seed.  The pipeline
 builds its simple modules in closed form and never calls it; chop is the
 reference implementation the simple-class oracle in verify compares against.
+
+The simple submodules of V isomorphic to a simple S are the images of the
+nonzero maps in Hom(S, V) (hom_space).  enumerate_simple_submodules takes
+one map per F_p-line of that space and groups the maps by image; it needs
+the End degree of S, which the caller knows, and never builds End(S).
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -439,100 +445,48 @@ def _mat_pow(M, e: int, p: int) -> np.ndarray:
     return out
 
 
-def _matrix_order_is(M, order: int, prime_divisors, p: int) -> bool:
-    eye = np.eye(M.shape[0], dtype=np.int64)
-    if np.any(_mat_pow(M, order, p) - eye):
-        return False
-    return all(np.any(_mat_pow(M, order // ell, p) - eye) for ell in prime_divisors)
+_LINES_PER_BLOCK = 4096
 
 
-def end_field(gens_S, p: int):
-    """(d, generator): End(S) = F_{p^d} for simple S, with the first (by
-    coefficient code) multiplicative generator of the unit group; for d = 1
-    the generator is reported as the identity."""
-    basis = hom_space(gens_S, gens_S, p)
-    d = len(basis)
-    n = gens_S[0].shape[0]
-    if d == 1:
-        return 1, np.eye(n, dtype=np.int64)
-    target = p ** d - 1
-    factors = gfpoly._prime_divisors(target)
-    for code in range(1, p ** d):
-        E = np.zeros((n, n), dtype=np.int64)
-        c = code
-        for B in basis:
-            digit = c % p
-            c //= p
-            if digit:
-                E = (E + digit * B) % p
-        if _matrix_order_is(E, target, factors, p):
-            return d, E
-    raise ValueError("endomorphism ring is not a field; module not simple?")
+def enumerate_simple_submodules(gens_V, gens_S, end_degree: int,
+                                p: int) -> list[np.ndarray]:
+    """All submodules of V isomorphic to the simple module S, as canonical
+    rref row bases sorted by the flattened basis.
 
-
-def enumerate_simple_submodules(gens_V, classes, p: int):
-    """All simple submodules of V isomorphic to one of the given classes.
-
-    classes: generator tuples of pairwise non-isomorphic simple modules.
-    Returns [(class_index, rows)] with rows the canonical rref basis,
-    sorted within each class by the flattened basis.  Per class the count
-    is (p^dim H - 1)/(p^d - 1); every emitted subspace is checked stable
-    and simple.
+    They are the images of the nonzero maps in H = Hom(S, V), and two maps
+    share their image exactly when they differ by a unit of
+    End(S) = F_{p^d}, d = end_degree.  One map per F_p-line of H therefore
+    reaches each image (p^d - 1)/(p - 1) times; that count is checked, as
+    is the injectivity of every map and the simplicity of every image.
+    The maps are formed _LINES_PER_BLOCK lines at a time, so their memory
+    does not grow with the number of lines.
     """
     gens_V = [as_fp(M, p) for M in gens_V]
+    n = gens_S[0].shape[0]
+    H = hom_space(gens_S, gens_V, p)
+    if not H:
+        return []
+    flat = np.stack(H).reshape(len(H), -1)
+    hits: dict[bytes, list] = {}  # image key -> [rows, times reached]
+    lines = _line_representatives(len(H), p)
+    while block := list(itertools.islice(lines, _LINES_PER_BLOCK)):
+        for h in (np.stack(block) @ flat % p).reshape(len(block), -1, n):
+            ech = _echelon(h.T, p)[0]
+            if len(ech) != n:
+                raise InvariantViolation("hom from a simple module must be injective")
+            rows = np.stack(ech)
+            hits.setdefault(rows.tobytes(), [rows, 0])[1] += 1
+    per_image = (p ** end_degree - 1) // (p - 1)
     out = []
-    for ci, gens_S in enumerate(classes):
-        n = gens_S[0].shape[0]
-        H = hom_space(gens_S, gens_V, p)
-        m = len(H)
-        if m == 0:
-            continue
-        d, eps = end_field(gens_S, p)
-        # Greedy right-End(S) basis of H over the F_p-span of h∘eps^j.
-        span = np.zeros((0, H[0].size), dtype=np.int64)
-        end_basis = []
-        for h in H:
-            if in_row_space(span, h.reshape(-1), p):
-                continue
-            end_basis.append(h)
-            orbit = [h]
-            for _ in range(d - 1):
-                orbit.append(mm(orbit[-1], eps, p))
-            span = rref(np.concatenate(
-                [span, np.stack([o.reshape(-1) for o in orbit])]), p)[0]
-        if len(end_basis) * d != m:
-            raise InvariantViolation("Hom space is not End-free")
-        eps_pows = [np.eye(n, dtype=np.int64)]
-        for _ in range(d - 1):
-            eps_pows.append(mm(eps_pows[-1], eps, p))
-        emitted = []
-        for lead in range(len(end_basis)):
-            tail = len(end_basis) - lead - 1
-            for code in range(p ** (d * tail)):
-                h = end_basis[lead].copy()
-                c = code
-                for t in range(tail):
-                    alpha = np.zeros((n, n), dtype=np.int64)
-                    for k in range(d):
-                        digit = c % p
-                        c //= p
-                        if digit:
-                            alpha = (alpha + digit * eps_pows[k]) % p
-                    h = (h + mm(end_basis[lead + 1 + t], alpha, p)) % p
-                rows = image(h, p)
-                if rows.shape[0] != n:
-                    raise InvariantViolation("hom from a simple module must be injective")
-                if not _is_simple(gens_V, rows, p):
-                    raise InvariantViolation("emitted subspace is not simple")
-                emitted.append(rows)
-        expected = (p ** m - 1) // (p ** d - 1)
-        if len(emitted) != expected:
+    for rows, times in hits.values():
+        if times != per_image:
             raise InvariantViolation(
-                f"{len(emitted)} submodules emitted, {expected} expected")
-        if len({tuple(r.ravel()) for r in emitted}) != len(emitted):
-            raise InvariantViolation("duplicate submodules emitted")
-        emitted.sort(key=lambda r: tuple(r.ravel()))
-        out.extend((ci, rows) for rows in emitted)
+                f"an image is reached by {times} lines of Hom, {per_image} "
+                f"expected at End degree {end_degree}")
+        if not _is_simple(gens_V, rows, p):
+            raise InvariantViolation("emitted subspace is not simple")
+        out.append(rows)
+    out.sort(key=lambda r: tuple(r.ravel()))
     return out
 
 

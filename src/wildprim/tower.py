@@ -66,13 +66,13 @@ def _mult_order(a: int, modulus: int) -> int:
 
 GroupElt = tuple[int, int]  # (inertia exponent a mod e, Frobenius exponent b mod s*e)
 Laurent = dict[int, FFElt]  # a char p element: {exponent of u: nonzero coefficient}
+MAX_RESIDUE_DEGREE = 64  # largest residue degree f' of a tower top
 
 
 class TameTower:
     """Tower data plus the explicit action of its Galois group."""
 
-    def __init__(self, base: BaseField, n: int, precision: int | None = None,
-                 max_residue_degree: int = 64):
+    def __init__(self, base: BaseField, n: int, precision: int | None = None):
         if n < 1:
             raise ValueError("the degree parameter n must be positive")
         self.base = base
@@ -81,10 +81,10 @@ class TameTower:
         self.e = base.p ** n - 1
         self.s = _mult_order(base.q, self.e) if self.e > 1 else 1
         self.fprime = base.f * self.s * self.e
-        if self.fprime > max_residue_degree:
+        if self.fprime > MAX_RESIDUE_DEGREE:
             raise ValueError(
                 f"residue degree {self.fprime} exceeds the configured bound "
-                f"{max_residue_degree}")
+                f"{MAX_RESIDUE_DEGREE}")
         self.residue = field_create(base.p, self.fprime)
         # e = 1 is the degenerate tower: the top is the base itself
         self.zeta = (self.residue.one if self.e == 1
@@ -184,6 +184,5 @@ class TameTower:
         }
 
 
-def build_tower(base: BaseField, n: int, precision: int | None = None,
-                max_residue_degree: int = 64) -> TameTower:
-    return TameTower(base, n, precision, max_residue_degree)
+def build_tower(base: BaseField, n: int, precision: int | None = None) -> TameTower:
+    return TameTower(base, n, precision)

@@ -21,7 +21,8 @@ import numpy as np
 from . import modrep
 from .classmod import reduce_class
 from .enumerator import (EnumerationResult, SimpleClassInfo,
-                         enumerate_primitive, fingerprint, simple_classes)
+                         enumerate_primitive, fingerprint,
+                         level_divisibility_holds, simple_classes)
 from .finitefield import abs_trace
 from .tower import BaseField, TameTower
 
@@ -213,7 +214,8 @@ def simple_classes_oracle_check(tower: TameTower, seed: int = 0) -> Verification
     multiplicity in the regular module) lists."""
     p = tower.p
     chopped = sorted(
-        (fingerprint(tower, *c.gens), modrep.end_field(c.gens, p)[0], c.multiplicity)
+        (fingerprint(tower, *c.gens), len(modrep.hom_space(c.gens, c.gens, p)),
+         c.multiplicity)
         for c in modrep.chop(regular_representation(tower), p, seed=seed))
     closed = [(c.fingerprint, c.end_degree, c.multiplicity_in_regular)
               for c in simple_classes(tower)]
@@ -270,14 +272,8 @@ def divisibility_checks(result: EnumerationResult) -> VerificationReport:
     report = VerificationReport()
     p, n = result.tower.p, result.n
     for k, r in enumerate(result.records):
-        if r.level % p == 0:
-            if result.base.char == 0:
-                ok = n == 1 and r.level in (0, p * result.basis.c_index)
-            else:
-                ok = n == 1 and r.level == 0
-        else:
-            ok = True
-        report.add_bool(f"level-divisibility[{_tag(result)}:#{k}]", ok,
+        report.add_bool(f"level-divisibility[{_tag(result)}:#{k}]",
+                        level_divisibility_holds(result.tower, result.basis, r.level),
                         f"level={r.level}")
         d_ok = (r.different_exponent == 0 if r.unramified
                 else r.different_exponent == r.excess + p ** n - 1)

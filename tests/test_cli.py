@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from wildprim import modrep, serialize
+from wildprim import enumerator, serialize
 from wildprim.cli import main
 from wildprim.errors import InvariantViolation, PrecisionExhausted
 
@@ -102,12 +102,14 @@ def test_exit_code_invariant_violation(tmp_path, monkeypatch):
 
 
 def test_failed_invariant_exits_2(tmp_path, monkeypatch):
-    real = modrep.end_field
+    real = enumerator.simple_classes
 
-    def one_degree_too_high(gens, p):
-        d, eps = real(gens, p)
-        return d + 1, eps
-    monkeypatch.setattr(modrep, "end_field", one_degree_too_high)
+    def one_degree_too_high(tower):
+        classes = real(tower)
+        for c in classes:
+            c.end_degree += 1
+        return classes
+    monkeypatch.setattr(enumerator, "simple_classes", one_degree_too_high)
     code = run(["enumerate", "--p", "2", "--f", "1", "--char", "0", "--n", "2"],
                tmp_path, monkeypatch)
     assert code == 2

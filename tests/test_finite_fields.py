@@ -1,11 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
-from wildprim import gfpoly
+from wildprim import gfpoly, modrep
 from wildprim.finitefield import (
-    abs_trace, embed, field_create, find_generator, first_element_of_order,
-    frobenius, pth_root, solve_artin_schreier, trace_to,
+    FFElt, abs_trace, embed, field_create, find_generator,
+    first_element_of_order, frobenius, pth_root, trace_to,
 )
 
 
@@ -180,6 +181,17 @@ def test_trace_to_intermediate_field():
         assert trace_to(t, F2) == trace_to(x, F2)
     # trace is onto the subfield
     assert {trace_to(x, F4).code() for x in F16.elements()} == set(range(4))
+
+
+def solve_artin_schreier(c, b):
+    """Some x with x^p + c*x = b, or None; the map is F_p-linear in x."""
+    F = c.field
+    A = F.linear_matrix(lambda e: e ** F.p + c * e)
+    try:
+        sol = modrep.solve(A, np.array(b.coeffs, dtype=np.int64), F.p)
+    except ValueError:
+        return None
+    return FFElt(F, sol.tolist())
 
 
 def test_artin_schreier_f2_examples():

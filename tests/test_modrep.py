@@ -6,7 +6,7 @@ import pytest
 from wildprim import gfpoly, modrep
 from wildprim.errors import InvariantViolation
 from wildprim.modrep import (
-    brute_feasible, brute_simple_submodules, charpoly, chop, end_field,
+    brute_feasible, brute_simple_submodules, charpoly, chop,
     enumerate_simple_submodules, hom_space, image, in_row_space, inv_mat,
     kernel, minpoly, poly_eval_matrix, quotient_action, rank, restrict_action,
     rref, solve, spin,
@@ -115,16 +115,10 @@ def test_chop_multiplicities_seed_invariant():
         assert sorted((c.dim, c.multiplicity) for c in classes) == [(1, 1), (2, 1)]
 
 
-def test_end_field_trivial_module():
-    d, gen = end_field([np.eye(1, dtype=np.int64)], 2)
-    assert d == 1 and gen.shape == (1, 1)
-
-
 def test_end_field_of_c3_plane_is_f4():
     classes = chop(c3_regular_gens(), 2)
     plane = next(c for c in classes if c.dim == 2)
-    d, eps = end_field(plane.gens, 2)
-    assert d == 2
+    assert len(hom_space(plane.gens, plane.gens, 2)) == 2
     # brute force over all sixteen 2x2 matrices: the commutant has 4 elements
     M = plane.gens[0]
     comm = [E for code in range(16)
@@ -132,15 +126,6 @@ def test_end_field_of_c3_plane_is_f4():
                                 [(code >> 2) & 1, (code >> 3) & 1]], dtype=np.int64)]
             if not np.any((E @ M - M @ E) % 2)]
     assert len(comm) == 4
-    # the reported generator is a non-scalar equivariant unit
-    assert np.any(eps - np.eye(2, dtype=np.int64)) and np.any(eps)
-
-
-def test_hom_space_dimension_equals_end_degree():
-    classes = chop(c3_regular_gens(), 2)
-    for c in classes:
-        d, _ = end_field(c.gens, 2)
-        assert len(hom_space(c.gens, c.gens, 2)) == d
 
 
 def _kronecker_hom_space(gens_S, gens_V, p):
@@ -239,17 +224,19 @@ def test_restrict_action_matches_per_column_solve():
 
 def test_enumerate_lines_under_trivial_group():
     gens = [np.eye(3, dtype=np.int64)]
-    classes = [[np.eye(1, dtype=np.int64)]]
-    subs = enumerate_simple_submodules(gens, classes, 2)
+    subs = enumerate_simple_submodules(gens, [np.eye(1, dtype=np.int64)], 1, 2)
     assert len(subs) == 7
 
 
-def test_wrong_end_degree_is_an_invariant_violation(monkeypatch):
-    monkeypatch.setattr(modrep, "end_field",
-                        lambda gens, p: (2, np.eye(1, dtype=np.int64)))
-    with pytest.raises(InvariantViolation):
+def test_wrong_end_degree_is_an_invariant_violation():
+    # too high: each trivial line is reached once, not 3 times
+    with pytest.raises(InvariantViolation, match="reached by 1 lines"):
         enumerate_simple_submodules([np.eye(3, dtype=np.int64)],
-                                    [[np.eye(1, dtype=np.int64)]], 2)
+                                    [np.eye(1, dtype=np.int64)], 2, 2)
+    # too low: the C_3 plane (End = F_4) is reached 3 times, not once
+    plane = next(c for c in chop(c3_regular_gens(), 2) if c.dim == 2)
+    with pytest.raises(InvariantViolation, match="reached by 3 lines"):
+        enumerate_simple_submodules(c3_regular_gens(), plane.gens, 1, 2)
 
 
 def test_echelon_routines_match_rref_on_random_input():
@@ -282,12 +269,12 @@ def test_enumerate_c3_planes():
     gens = c3_regular_gens()
     classes = chop(gens, 2)
     plane = next(c for c in classes if c.dim == 2)
-    subs = enumerate_simple_submodules(gens, [plane.gens], 2)
+    subs = enumerate_simple_submodules(gens, plane.gens, 2, 2)
     assert len(subs) == 1
     # brute-force comparison over all 2-dimensional subspaces
     brute = brute_simple_submodules(gens, 2, 2)
     assert len(brute) == 1
-    assert np.array_equal(subs[0][1], brute[0])
+    assert np.array_equal(subs[0], brute[0])
 
 
 def test_brute_feasibility_rule():
@@ -302,18 +289,16 @@ def test_enumerate_matches_brute_on_lines():
     gens = c3_regular_gens()
     classes = chop(gens, 2)
     triv = next(c for c in classes if c.dim == 1)
-    subs = enumerate_simple_submodules(gens, [triv.gens], 2)
+    subs = enumerate_simple_submodules(gens, triv.gens, 1, 2)
     brute = brute_simple_submodules(gens, 1, 2)
     assert len(subs) == len(brute) == 1
 
 
 def test_enumerate_matches_brute_trivial_group():
     gens = [np.eye(3, dtype=np.int64)]
-    classes = [[np.eye(1, dtype=np.int64)]]
-    subs = enumerate_simple_submodules(gens, classes, 2)
+    subs = enumerate_simple_submodules(gens, [np.eye(1, dtype=np.int64)], 1, 2)
     brute = brute_simple_submodules(gens, 1, 2)
-    assert sorted(tuple(r.ravel()) for _, r in subs) == \
-        sorted(tuple(r.ravel()) for r in brute)
+    assert [tuple(r.ravel()) for r in subs] == [tuple(r.ravel()) for r in brute]
 
 
 def test_multiplicity_count_formula():
@@ -324,24 +309,44 @@ def test_multiplicity_count_formula():
     M = plane.gens[0]
     V = [np.block([[M, np.zeros((2, 2), dtype=np.int64)],
                    [np.zeros((2, 2), dtype=np.int64), M]]) % 2]
-    subs = enumerate_simple_submodules(V, [plane.gens], 2)
+    subs = enumerate_simple_submodules(V, plane.gens, 2, 2)
     assert len(subs) == 5
     brute = brute_simple_submodules(V, 2, 2)
-    assert sorted(tuple(r.ravel()) for _, r in subs) == \
-        sorted(tuple(r.ravel()) for r in brute)
+    assert [tuple(r.ravel()) for r in subs] == [tuple(r.ravel()) for r in brute]
 
 
-def test_brute_matches_full_scan_at_p3():
-    # trivial line + two copies of the plane where x^2 + 1 (irreducible mod 3)
-    # acts + a Jordan block: 4 simple lines and (9^2 - 1)/(9 - 1) = 10 planes
-    p = 3
-    R = np.array([[0, 2], [1, 0]], dtype=np.int64)
+# x^2 + 1 is irreducible mod 3: its companion matrix acts on a simple
+# plane with End = F_9
+P3_PLANE = np.array([[0, 2], [1, 0]], dtype=np.int64)
+
+
+def p3_module():
+    """Trivial line + two copies of the x^2 + 1 plane + a Jordan block, over
+    F_3: 4 simple lines and (9^2 - 1)/(9 - 1) = 10 simple planes."""
     J = np.array([[1, 1], [0, 1]], dtype=np.int64)
     M = np.zeros((7, 7), dtype=np.int64)
     M[0, 0] = 1
-    for k, B in ((1, R), (3, R), (5, J)):
+    for k, B in ((1, P3_PLANE), (3, P3_PLANE), (5, J)):
         M[k:k + 2, k:k + 2] = B
-    gens = [M]
+    return [M]
+
+
+@pytest.mark.parametrize("block", [4096, 3])
+def test_enumerate_matches_brute_at_p3(block, monkeypatch):
+    monkeypatch.setattr(modrep, "_LINES_PER_BLOCK", block)
+    p = 3
+    gens = p3_module()
+    for gens_S, d, count in (([np.eye(1, dtype=np.int64)], 1, 4), ([P3_PLANE], 2, 10)):
+        n = gens_S[0].shape[0]
+        subs = enumerate_simple_submodules(gens, gens_S, d, p)
+        brute = brute_simple_submodules(gens, n, p)
+        assert len(subs) == count
+        assert [tuple(r.ravel()) for r in subs] == [tuple(r.ravel()) for r in brute]
+
+
+def test_brute_matches_full_scan_at_p3():
+    p = 3
+    gens = p3_module()
 
     def digits(code, n):
         return np.array([(code // p ** i) % p for i in range(n)], dtype=np.int64)

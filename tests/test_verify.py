@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from wildprim.enumerator import enumerate_primitive
+from wildprim.enumerator import enumerate_primitive, level_divisibility_holds
 from wildprim.tower import BaseField
 from wildprim.verify import (
-    VerificationReport, brute_oracle_check, cross_checks, duality_checks,
-    mass_check, precision_stability_check, quadratic_catalog_check,
+    VerificationReport, brute_oracle_check, cross_checks, divisibility_checks,
+    duality_checks, mass_check, precision_stability_check, quadratic_catalog_check,
     quadratic_different_oracle, quadratic_record_representative,
     structure_checks,
 )
@@ -114,6 +114,22 @@ def test_precision_stability_quartics():
     res = enumerate_primitive(Q2, 2, use_cache=False)
     report = precision_stability_check(res)
     assert report.passed, report.render()
+
+
+def test_level_divisibility_rule():
+    # even levels are allowed only at n = 1: level 0, and in char 0 the
+    # tres ramifiee level p * c = 2 of Q_2
+    for base, n, bound, even_ok in ((Q2, 1, None, {0, 2}), (Q2, 2, None, set()),
+                                    (F2T, 1, 4, {0})):
+        res = enumerate_primitive(base, n, level_bound=bound)
+        for delta in range(9):
+            assert level_divisibility_holds(res.tower, res.basis, delta) == (
+                delta % 2 == 1 or delta in even_ok)
+    res = enumerate_primitive(Q2, 2)
+    assert divisibility_checks(res).passed
+    res.records[0].level = 4
+    failed = [c.name for c in divisibility_checks(res).checks if not c.passed]
+    assert failed == ["level-divisibility[Q_2,n=2:#0]"]
 
 
 def test_report_aggregates_failures():
