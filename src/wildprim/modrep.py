@@ -21,7 +21,6 @@ the End degree of S, which the caller knows, and never builds End(S).
 from __future__ import annotations
 
 import bisect
-import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -445,9 +444,6 @@ def _mat_pow(M, e: int, p: int) -> np.ndarray:
     return out
 
 
-_LINES_PER_BLOCK = 4096
-
-
 def enumerate_simple_submodules(gens_V, gens_S, end_degree: int,
                                 p: int) -> list[np.ndarray]:
     """All submodules of V isomorphic to the simple module S, as canonical
@@ -458,8 +454,6 @@ def enumerate_simple_submodules(gens_V, gens_S, end_degree: int,
     End(S) = F_{p^d}, d = end_degree.  One map per F_p-line of H therefore
     reaches each image (p^d - 1)/(p - 1) times; that count is checked, as
     is the injectivity of every map and the simplicity of every image.
-    The maps are formed _LINES_PER_BLOCK lines at a time, so their memory
-    does not grow with the number of lines.
     """
     gens_V = [as_fp(M, p) for M in gens_V]
     n = gens_S[0].shape[0]
@@ -468,14 +462,13 @@ def enumerate_simple_submodules(gens_V, gens_S, end_degree: int,
         return []
     flat = np.stack(H).reshape(len(H), -1)
     hits: dict[bytes, list] = {}  # image key -> [rows, times reached]
-    lines = _line_representatives(len(H), p)
-    while block := list(itertools.islice(lines, _LINES_PER_BLOCK)):
-        for h in (np.stack(block) @ flat % p).reshape(len(block), -1, n):
-            ech = _echelon(h.T, p)[0]
-            if len(ech) != n:
-                raise InvariantViolation("hom from a simple module must be injective")
-            rows = np.stack(ech)
-            hits.setdefault(rows.tobytes(), [rows, 0])[1] += 1
+    maps = np.stack(list(_line_representatives(len(H), p))) @ flat % p
+    for h in maps.reshape(len(maps), -1, n):
+        ech = _echelon(h.T, p)[0]
+        if len(ech) != n:
+            raise InvariantViolation("hom from a simple module must be injective")
+        rows = np.stack(ech)
+        hits.setdefault(rows.tobytes(), [rows, 0])[1] += 1
     per_image = (p ** end_degree - 1) // (p - 1)
     out = []
     for rows, times in hits.values():

@@ -83,8 +83,7 @@ class TameTower:
         self.fprime = base.f * self.s * self.e
         if self.fprime > MAX_RESIDUE_DEGREE:
             raise ValueError(
-                f"residue degree {self.fprime} exceeds the configured bound "
-                f"{MAX_RESIDUE_DEGREE}")
+                f"residue degree {self.fprime} exceeds the bound {MAX_RESIDUE_DEGREE}")
         self.residue = field_create(base.p, self.fprime)
         # e = 1 is the degenerate tower: the top is the base itself
         self.zeta = (self.residue.one if self.e == 1

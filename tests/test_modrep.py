@@ -331,9 +331,7 @@ def p3_module():
     return [M]
 
 
-@pytest.mark.parametrize("block", [4096, 3])
-def test_enumerate_matches_brute_at_p3(block, monkeypatch):
-    monkeypatch.setattr(modrep, "_LINES_PER_BLOCK", block)
+def test_enumerate_matches_brute_at_p3():
     p = 3
     gens = p3_module()
     for gens_S, d, count in (([np.eye(1, dtype=np.int64)], 1, 4), ([P3_PLANE], 2, 10)):
