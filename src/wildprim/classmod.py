@@ -24,7 +24,8 @@ so it terminates within the precision window.  The recorded coordinates
 are exact: in char 0 each strip multiplies by basis representatives to
 the power p - c or by a p-th power, so the class moves by exactly the
 recorded coordinates and nothing is inverted; in char p each strip
-subtracts the actual basis representatives.
+subtracts the actual basis representatives.  Each power rep^(p - c) is
+computed once per basis, when a reduction first asks for it.
 """
 
 from __future__ import annotations
@@ -58,9 +59,16 @@ class ClassBasis:
         self.level_bound = level_bound
         self._pos = {(v.kind, v.level, v.j): i for i, v in enumerate(vectors)}
         self.aux = aux or {}
+        self._powers: dict[tuple[int, int], RingElt] = {}
 
     def position(self, kind: str, level: int, j: int = 0) -> int:
         return self._pos[(kind, level, j)]
+
+    def rep_power(self, idx: int, k: int) -> RingElt:
+        """vectors[idx].rep ** k, computed when first asked for (char 0)."""
+        if (idx, k) not in self._powers:
+            self._powers[idx, k] = self.vectors[idx].rep ** k
+        return self._powers[idx, k]
 
     def levels(self) -> np.ndarray:
         return np.array([v.level for v in self.vectors], dtype=np.int64)
@@ -97,7 +105,7 @@ def kummer_basis(tower: TameTower) -> ClassBasis:
                 "unit-level", i, j, one + RingElt.teichmuller(ring, a) * pi_i))
 
     # boundary data: the twisted equation x^p + c_res x = a decides solvability
-    c_res = RingElt.from_int(ring, p).divide_uniformizer_power(e).residue()
+    c_res = RingElt.from_int(ring, p).digit(e)
     as_matrix = F.linear_matrix(lambda t: t ** p + c_res * t)
     im_rows = modrep.image(as_matrix, p)
     if im_rows.shape[0] != F.f - 1:
@@ -183,7 +191,7 @@ def _reduce_kummer(basis: ClassBasis, x: RingElt) -> np.ndarray:
         lv = w.val_at_most(bl)
         if lv is None:
             break
-        a = w.divide_uniformizer_power(lv).residue()
+        a = w.digit(lv)
         if lv == bl:
             # the one tau with a - tau*b0 in the image of t -> t^p + c_res*t,
             # the kernel of the cokernel functional
@@ -194,7 +202,7 @@ def _reduce_kummer(basis: ClassBasis, x: RingElt) -> np.ndarray:
             # (1 - sol pi^c)^p has level-bl digit -(sol^p + c_res*sol)
             if tau:
                 coords[basis.position("boundary", bl)] = tau
-                u = u * basis.vectors[basis.position("boundary", bl)].rep ** (p - tau)
+                u = u * basis.rep_power(basis.position("boundary", bl), p - tau)
             if not sol.is_zero():
                 u = u * (one + RingElt.monomial(ring, c, -sol)).pth_power()
             continue
@@ -206,7 +214,7 @@ def _reduce_kummer(basis: ClassBasis, x: RingElt) -> np.ndarray:
         for j, cj in enumerate(a.coeffs):
             if cj:
                 coords[basis.position("unit-level", lv, j)] = cj
-                u = u * basis.vectors[basis.position("unit-level", lv, j)].rep ** (p - cj)
+                u = u * basis.rep_power(basis.position("unit-level", lv, j), p - cj)
     return coords
 
 

@@ -14,9 +14,9 @@ structural fingerprints (dimension plus the characteristic polynomial of
 every group element), which are isomorphism invariants, so catalogs do not
 depend on the basis chosen for a class.  The closed form also gives each
 class's End degree d (End(S) = F_{p^d}), which the submodule enumeration
-checks its count of Hom maps per image against.  Nothing is random or
-cached; the degree-n classes are enumerated one after another in the
-calling thread.
+checks its count of Hom maps per image against.  Nothing is random, the
+only cache is the class basis's table of representative powers, and the
+degree-n classes are enumerated one after another in the calling thread.
 """
 
 from __future__ import annotations
@@ -287,7 +287,8 @@ def level_divisibility_holds(tower: TameTower, basis: ClassBasis, delta: int) ->
 
 def _record_for(tower: TameTower, basis: ClassBasis, omega: dict,
                 cls: SimpleClassInfo, rows: np.ndarray,
-                gens_V: list[np.ndarray]) -> ExtensionRecord:
+                action: list[np.ndarray]) -> ExtensionRecord:
+    """The record of the stable subspace rows, acted on by action = [sigma, phi]."""
     p, n = tower.p, tower.n
     i_star, straddle = filtration_index(basis, rows)
     if straddle:
@@ -302,9 +303,7 @@ def _record_for(tower: TameTower, basis: ClassBasis, omega: dict,
     tres = tower.base.char == 0 and n == 1 and delta == p * basis.c_index
     degree = p ** n
     d = 0 if unramified else delta + degree - 1
-    rho_sigma, rho_phi = modrep.restrict_action(gens_V, rows, p)
-    image_order, closure_order, label = closure_descriptor(
-        tower, rho_sigma, rho_phi, omega)
+    image_order, closure_order, label = closure_descriptor(tower, *action, omega)
     return ExtensionRecord(
         base=tower.base.describe(),
         n=n,
@@ -350,9 +349,9 @@ def enumerate_primitive(base: BaseField, n: int, *, level_bound: int | None = No
     omega = omega_character(basis, matrices)
     classes = simple_classes(tower)
     degree_classes = [c for c in classes if c.dim == n]
-    records = [_record_for(tower, basis, omega, cls, rows, gens_V)
+    records = [_record_for(tower, basis, omega, cls, rows, action)
                for cls in degree_classes
-               for rows in modrep.enumerate_simple_submodules(
+               for rows, action in modrep.enumerate_simple_submodules(
                    gens_V, cls.gens(), cls.end_degree, tower.p)]
     by_class = {cls.identifier: cls.fingerprint for cls in degree_classes}
     records.sort(key=lambda r: (r.level, by_class[r.rep_id],

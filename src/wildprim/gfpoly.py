@@ -107,13 +107,6 @@ def derivative(f, p):
     return trim([(i * f[i]) % p for i in range(1, len(f))])
 
 
-def evaluate(f, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def is_irreducible(f, p) -> bool:
     """Rabin test: x^(p^n) = x mod f and gcd(x^(p^(n/l)) - x, f) = 1."""
     n = len(f) - 1

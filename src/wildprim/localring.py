@@ -8,11 +8,12 @@ h) with a ramified layer pi whose e-th power is p.  An element is an
 the element is known modulo pi^w.  All stored elements are integral
 (valuation >= 0); window bookkeeping is conservative (min of the operand
 windows), which is exact for integral elements.
-A product is one Kronecker-substituted convolution: each operand's rows
-are laid end to end at stride 2f'-1, so row i, coefficient u sits at
-index i(2f'-1) + u, and row products (at most 2f'-1 long) cannot overlap;
-the first (2e-1)(2f'-1) entries of the convolution, reshaped, are the
-pi- and x-products before pi^e = p is folded and h is reduced.
+A product is one convolution per nonzero pi-row of the sparser operand:
+the denser operand's rows are laid end to end at stride 2f'-1 (row i,
+coefficient u at index i(2f'-1) + u, so row products cannot overlap), and
+its convolution with row j of the sparser operand is added j rows on; the
+2e-1 rows so formed are folded by pi^e = p and reduced modulo h.  Operands
+of the class reduction mostly have one to three nonzero rows.
 
 Equal characteristic needs no ring here: a class element there is a finite
 Laurent polynomial in the uniformizer u (u^e = t), held as a plain dict
@@ -258,14 +259,17 @@ class RingElt:
         ring = self.ring
         e, f = ring.e, ring.fprime
         stride = 2 * f - 1
-        a = np.zeros((e, stride), dtype=np.int64)
-        b = np.zeros((e, stride), dtype=np.int64)
-        a[:, :f] = self.data
-        b[:, :f] = other.data
-        wide = np.convolve(a.ravel(), b.ravel())[:(2 * e - 1) * stride]
+        rows_a, rows_b = self.data.any(1).nonzero()[0], other.data.any(1).nonzero()[0]
+        dense, sparse, rows = ((self, other, rows_b) if len(rows_b) <= len(rows_a)
+                               else (other, self, rows_a))
+        laid = np.zeros((e, stride), dtype=np.int64)
+        laid[:, :f] = dense.data
+        laid = laid.ravel()
+        wide = np.zeros((2 * e - 1) * stride, dtype=np.int64)
+        for j in rows:
+            wide[j * stride:(j + e) * stride] += np.convolve(laid, sparse.data[j])[:e * stride]
         wide = wide.reshape(2 * e - 1, stride) % ring.coeff.pm
-        for k in range(2 * e - 2, e - 1, -1):
-            wide[k - e] += ring.p * wide[k]
+        wide[:e - 1] += ring.p * wide[e:]
         return RingElt(ring, ring.coeff.reduce_wide(wide[:e]),
                        min(self.window, other.window))
 
@@ -323,10 +327,6 @@ class RingElt:
             return None
         return v
 
-    def leading(self) -> tuple[int, FFElt]:
-        v = self.val()
-        return v, self.divide_uniformizer_power(v).residue()
-
     def divide_uniformizer_power(self, k: int) -> "RingElt":
         ring = self.ring
         if k == 0:
@@ -350,14 +350,11 @@ class RingElt:
     def residue(self) -> FFElt:
         return self.ring.coeff.residue_of(self.data[0])
 
-    def agrees_with(self, other: "RingElt") -> bool:
-        """Equality up to the smaller validity window."""
-        self._check(other)
-        return (self - other).is_zero_to_window()
-
-    def is_zero_to_window(self) -> bool:
-        v = self._stored_val()
-        return v is None or v >= self.window
+    def digit(self, k: int) -> FFElt:
+        """The residue of self / pi^k, for k at most the valuation: row
+        k mod e divided by p^(k // e)."""
+        ring = self.ring
+        return ring.coeff.residue_of(self.data[k % ring.e] // ring.p ** (k // ring.e))
 
     def __repr__(self):
         return f"RingElt(window={self.window})"

@@ -445,9 +445,10 @@ def _mat_pow(M, e: int, p: int) -> np.ndarray:
 
 
 def enumerate_simple_submodules(gens_V, gens_S, end_degree: int,
-                                p: int) -> list[np.ndarray]:
-    """All submodules of V isomorphic to the simple module S, as canonical
-    rref row bases sorted by the flattened basis.
+                                p: int) -> list[tuple[np.ndarray, list[np.ndarray]]]:
+    """All submodules of V isomorphic to the simple module S, as pairs
+    (canonical rref row basis, action in the coordinates of those rows),
+    sorted by the flattened basis.
 
     They are the images of the nonzero maps in H = Hom(S, V), and two maps
     share their image exactly when they differ by a unit of
@@ -476,10 +477,11 @@ def enumerate_simple_submodules(gens_V, gens_S, end_degree: int,
             raise InvariantViolation(
                 f"an image is reached by {times} lines of Hom, {per_image} "
                 f"expected at End degree {end_degree}")
-        if not _is_simple(gens_V, rows, p):
+        action = restrict_action(gens_V, rows, p)
+        if not _is_simple(action, p):
             raise InvariantViolation("emitted subspace is not simple")
-        out.append(rows)
-    out.sort(key=lambda r: tuple(r.ravel()))
+        out.append((rows, action))
+    out.sort(key=lambda pair: tuple(pair[0].ravel()))
     return out
 
 
@@ -495,13 +497,12 @@ def _line_representatives(n: int, p: int):
             yield v
 
 
-def _is_simple(gens_V, rows: np.ndarray, p: int) -> bool:
-    """Whether the stable subspace rows is simple: every nonzero vector
-    spins it up.  Raises ValueError if the subspace is not stable."""
-    sub_gens = restrict_action(gens_V, rows, p)
-    n = rows.shape[0]
-    return all(spin(sub_gens, v, p).shape[0] == n
-               for v in _line_representatives(n, p))
+def _is_simple(sub_gens, p: int) -> bool:
+    """Whether a module, given by its action matrices, is simple: every
+    nonzero vector spins it up.  A line always is."""
+    n = sub_gens[0].shape[0]
+    return n == 1 or all(spin(sub_gens, v, p).shape[0] == n
+                         for v in _line_representatives(n, p))
 
 
 def brute_feasible(dim: int, p: int) -> bool:
@@ -527,6 +528,6 @@ def brute_simple_submodules(gens_V, n: int, p: int):
         key = tuple(rows.ravel())
         if key in seen:
             continue
-        if _is_simple(gens_V, rows, p):
+        if _is_simple(restrict_action(gens_V, rows, p), p):
             seen[key] = rows
     return [seen[k] for k in sorted(seen)]

@@ -10,12 +10,19 @@ from wildprim.finitefield import (
 )
 
 
+def evaluate(f, x, p):
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % p
+    return acc
+
+
 def all_monic_irreducible(p, f):
     out = []
     for code in range(p ** f):
         poly = [(code // p ** i) % p for i in range(f)] + [1]
         for x in range(p):
-            if gfpoly.evaluate(poly, x, p) == 0:
+            if evaluate(poly, x, p) == 0:
                 break
         else:
             if f <= 3 or gfpoly.is_irreducible(poly, p):

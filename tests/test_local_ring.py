@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from ringref import agrees_with, is_zero_to_window, leading
 from wildprim.errors import PrecisionExhausted
 from wildprim.localring import RingElt, default_precision, ring_create
 
@@ -45,7 +46,7 @@ def test_inverse_of_5_mod_2_10():
 def test_uniformizer_relation_char0():
     ring = ring_create(2, 1, 3)
     pi = RingElt.uniformizer(ring)
-    assert (pi * pi * pi).agrees_with(RingElt.from_int(ring, 2))
+    assert agrees_with(pi * pi * pi, RingElt.from_int(ring, 2))
 
 
 def test_val_of_p_equals_e():
@@ -64,7 +65,7 @@ def test_val_of_uniformizer_square_times_unit():
 def test_leading_of_one_plus_pi():
     ring = ring_create(2, 1, 3)
     x = RingElt.one(ring) + RingElt.uniformizer(ring)
-    v, a = (x - RingElt.one(ring)).leading()
+    v, a = leading(x - RingElt.one(ring))
     assert v == 1 and a == ring.residue.one
 
 
@@ -77,7 +78,7 @@ def test_one_plus_pi_squared_expansion():
     expect[0, 0] = 1
     expect[1, 0] = 2
     expect[2, 0] = 1
-    assert sq.agrees_with(RingElt(ring, expect))
+    assert agrees_with(sq, RingElt(ring, expect))
 
 
 @pytest.mark.parametrize("which", ["mixed"])
@@ -86,7 +87,7 @@ def test_x_times_inv_x_is_one(which, mixed_ring):
     one = RingElt.one(mixed_ring)
     for _ in range(100):
         x = rand_unit(mixed_ring, rng)
-        assert (x * x.inv()).agrees_with(one)
+        assert agrees_with(x * x.inv(), one)
 
 
 def test_inv_of_nonunit_raises(mixed_ring):
@@ -98,8 +99,8 @@ def test_mixed_ring_axioms_random(mixed_ring):
     rng = random.Random(7)
     for _ in range(40):
         x, y, z = (rand_elt(mixed_ring, rng) for _ in range(3))
-        assert ((x * y) * z).agrees_with(x * (y * z))
-        assert (x * (y + z)).agrees_with(x * y + x * z)
+        assert agrees_with((x * y) * z, x * (y * z))
+        assert agrees_with(x * (y + z), x * y + x * z)
 
 
 def test_val_additivity(mixed_ring):
@@ -112,7 +113,7 @@ def test_val_additivity(mixed_ring):
             assert (x + y).val() == min(vx, vy)
         else:
             s = x + y
-            if not s.is_zero_to_window():
+            if not is_zero_to_window(s):
                 assert s.val() >= vx
 
 
@@ -121,22 +122,22 @@ def test_teichmuller_fixed_by_power_q():
     F = ring.residue
     g = F.gen
     t = RingElt.teichmuller(ring, g)
-    assert (t * t * t).agrees_with(RingElt.one(ring))  # order q' - 1 = 3
+    assert agrees_with(t * t * t, RingElt.one(ring))  # order q' - 1 = 3
     assert t.residue() == g
-    assert RingElt.teichmuller(ring, F.zero).is_zero_to_window()
-    assert RingElt.teichmuller(ring, F.one).agrees_with(RingElt.one(ring))
+    assert is_zero_to_window(RingElt.teichmuller(ring, F.zero))
+    assert agrees_with(RingElt.teichmuller(ring, F.one), RingElt.one(ring))
 
 
 def test_teichmuller_trivial_for_f2():
     ring = ring_create(2, 1, 1)
-    assert RingElt.teichmuller(ring, ring.residue.one).agrees_with(RingElt.one(ring))
+    assert agrees_with(RingElt.teichmuller(ring, ring.residue.one), RingElt.one(ring))
 
 
 def test_divide_uniformizer_power():
     ring0 = ring_create(2, 1, 3)
     x = RingElt.from_int(ring0, 2)  # val 3
     y = x.divide_uniformizer_power(3)
-    assert y.agrees_with(RingElt.one(ring0))
+    assert agrees_with(y, RingElt.one(ring0))
     with pytest.raises(ValueError):
         RingElt.uniformizer(ring0, 2).divide_uniformizer_power(3)
 
@@ -227,13 +228,32 @@ RING_SHAPES = [pytest.param(p, p - 1, p - 1, id=str(p)) for p in (5, 7, 11, 13)]
 
 @pytest.mark.parametrize("p,fprime,e", RING_SHAPES)
 def test_mul_matches_python_int_reference(p, fprime, e):
+    # every pairing of operands with 0, 1, 2 and e nonzero pi-rows
     ring = ring_create(p, fprime, e)
     rng = random.Random(p * fprime * e)
-    for _ in range(10):
-        a, b = (np.array([[rng.randrange(ring.coeff.pm) for _ in range(ring.fprime)]
-                          for _ in range(ring.e)], dtype=np.int64) for _ in range(2))
-        product = RingElt(ring, a) * RingElt(ring, b)
-        assert np.array_equal(product.data, _reference_mul(ring, a, b))
+
+    def operand(nrows):
+        data = np.zeros((e, fprime), dtype=np.int64)
+        for i in rng.sample(range(e), min(nrows, e)):
+            data[i] = [rng.randrange(ring.coeff.pm) for _ in range(fprime)]
+        return data
+
+    for _ in range(2):
+        for ra in (0, 1, 2, e):
+            for rb in (0, 1, 2, e):
+                a, b = operand(ra), operand(rb)
+                product = RingElt(ring, a) * RingElt(ring, b)
+                assert np.array_equal(product.data, _reference_mul(ring, a, b))
+
+
+@pytest.mark.parametrize("p,fprime,e", RING_SHAPES)
+def test_digit_matches_divided_residue(p, fprime, e):
+    ring = ring_create(p, fprime, e)
+    rng = random.Random(p + fprime + e)
+    for _ in range(20):
+        x = RingElt.uniformizer(ring, rng.randrange(ring.full_window - e)) * rand_unit(ring, rng)
+        k = x.val()
+        assert x.digit(k) == x.divide_uniformizer_power(k).residue()
 
 
 def test_ring_refuses_int64_overflow():

@@ -222,6 +222,17 @@ def test_restrict_action_matches_per_column_solve():
         restrict_action(c3_regular_gens(), np.array([[1, 0, 0]], dtype=np.int64), 2)
 
 
+def submodule_rows(gens_V, gens_S, end_degree, p):
+    return [rows for rows, _ in enumerate_simple_submodules(gens_V, gens_S, end_degree, p)]
+
+
+def test_enumerated_action_is_the_restriction():
+    for gens_S, d in (([np.eye(1, dtype=np.int64)], 1), ([P3_PLANE], 2)):
+        for rows, action in enumerate_simple_submodules(p3_module(), gens_S, d, 3):
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(action, restrict_action(p3_module(), rows, 3)))
+
+
 def test_enumerate_lines_under_trivial_group():
     gens = [np.eye(3, dtype=np.int64)]
     subs = enumerate_simple_submodules(gens, [np.eye(1, dtype=np.int64)], 1, 2)
@@ -269,7 +280,7 @@ def test_enumerate_c3_planes():
     gens = c3_regular_gens()
     classes = chop(gens, 2)
     plane = next(c for c in classes if c.dim == 2)
-    subs = enumerate_simple_submodules(gens, plane.gens, 2, 2)
+    subs = submodule_rows(gens, plane.gens, 2, 2)
     assert len(subs) == 1
     # brute-force comparison over all 2-dimensional subspaces
     brute = brute_simple_submodules(gens, 2, 2)
@@ -296,7 +307,7 @@ def test_enumerate_matches_brute_on_lines():
 
 def test_enumerate_matches_brute_trivial_group():
     gens = [np.eye(3, dtype=np.int64)]
-    subs = enumerate_simple_submodules(gens, [np.eye(1, dtype=np.int64)], 1, 2)
+    subs = submodule_rows(gens, [np.eye(1, dtype=np.int64)], 1, 2)
     brute = brute_simple_submodules(gens, 1, 2)
     assert [tuple(r.ravel()) for r in subs] == [tuple(r.ravel()) for r in brute]
 
@@ -309,7 +320,7 @@ def test_multiplicity_count_formula():
     M = plane.gens[0]
     V = [np.block([[M, np.zeros((2, 2), dtype=np.int64)],
                    [np.zeros((2, 2), dtype=np.int64), M]]) % 2]
-    subs = enumerate_simple_submodules(V, plane.gens, 2, 2)
+    subs = submodule_rows(V, plane.gens, 2, 2)
     assert len(subs) == 5
     brute = brute_simple_submodules(V, 2, 2)
     assert [tuple(r.ravel()) for r in subs] == [tuple(r.ravel()) for r in brute]
@@ -336,7 +347,7 @@ def test_enumerate_matches_brute_at_p3():
     gens = p3_module()
     for gens_S, d, count in (([np.eye(1, dtype=np.int64)], 1, 4), ([P3_PLANE], 2, 10)):
         n = gens_S[0].shape[0]
-        subs = enumerate_simple_submodules(gens, gens_S, d, p)
+        subs = submodule_rows(gens, gens_S, d, p)
         brute = brute_simple_submodules(gens, n, p)
         assert len(subs) == count
         assert [tuple(r.ravel()) for r in subs] == [tuple(r.ravel()) for r in brute]

@@ -1,6 +1,7 @@
 """Rules the package source must keep."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import wildprim
@@ -24,3 +25,27 @@ def test_no_assert_guards_an_invariant():
                     isinstance(node, ast.Raise) and _is_assertion_error(node.exc)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _probe_targets():
+    """(module, attr) of every Probe(...) in the benchmark's tracer."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "Probe"):
+            yield node.args[1].value, node.args[2].value
+
+
+def test_every_benchmark_probe_target_resolves():
+    # the tracer wraps each target where its module or class defines it
+    targets = list(_probe_targets())
+    assert targets
+    missing = []
+    for module, attr in targets:
+        owner = importlib.import_module(module)
+        *path, name = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part, None)
+        if owner is None or not callable(vars(owner).get(name)):
+            missing.append(f"{module}.{attr}")
+    assert missing == []

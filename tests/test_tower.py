@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from laurent import laurent_product, laurent_sum, random_laurent
+from ringref import agrees_with, leading
 from wildprim.localring import RingElt
 from wildprim.tower import BaseField, build_tower
 
@@ -85,7 +86,7 @@ def mul(x, y):
 
 
 def same(x, y):
-    return x == y if isinstance(x, dict) else x.agrees_with(y)
+    return x == y if isinstance(x, dict) else agrees_with(x, y)
 
 
 @pytest.mark.parametrize("base,n", [(Q2, 2), (F2T, 2), (Q4, 2)])
@@ -117,10 +118,10 @@ def test_sigma_moves_uniformizer_by_zeta():
     pi = RingElt.uniformizer(t.ring)
     img = t.apply(t.sigma, pi)
     zeta_lift = RingElt.teichmuller(t.ring, t.zeta)
-    assert img.agrees_with(zeta_lift * pi)
+    assert agrees_with(img, zeta_lift * pi)
     # the uniformizer relation is preserved
     cube = img * img * img
-    assert cube.agrees_with(RingElt.from_int(t.ring, 2))
+    assert agrees_with(cube, RingElt.from_int(t.ring, 2))
 
 
 def test_presentation_on_uniformizer():
@@ -128,7 +129,7 @@ def test_presentation_on_uniformizer():
     pi = RingElt.uniformizer(t.ring)
     conj = t.compose(t.phi, t.compose(t.sigma, t.inverse(t.phi)))
     sq = t.compose(t.sigma, t.sigma)  # sigma^q with q = 2
-    assert t.apply(conj, pi).agrees_with(t.apply(sq, pi))
+    assert agrees_with(t.apply(conj, pi), t.apply(sq, pi))
 
 
 def test_full_frobenius_power_is_identity():
@@ -139,7 +140,7 @@ def test_full_frobenius_power_is_identity():
     acc = x
     for _ in range(se):
         acc = t.apply(t.phi, acc)
-    assert acc.agrees_with(x)
+    assert agrees_with(acc, x)
 
 
 @pytest.mark.parametrize("base,n", [(Q2, 2), (Q4, 2), (F2T, 2)])
@@ -163,7 +164,7 @@ def test_inertia_acts_freely_on_uniformizer_line():
     seen = set()
     for a in range(t.e):
         img = t.apply((a, 0), pi)
-        lead = img.leading()
+        lead = leading(img)
         assert lead[0] == 1
         seen.add(lead[1].code())
     assert len(seen) == t.e
