@@ -13,9 +13,10 @@ builds its simple modules in closed form and never calls it; chop is the
 reference implementation the simple-class oracle in verify compares against.
 
 The simple submodules of V isomorphic to a simple S are the images of the
-nonzero maps in Hom(S, V) (hom_space).  enumerate_simple_submodules takes
-one map per F_p-line of that space and groups the maps by image; it needs
-the End degree of S, which the caller knows, and never builds End(S).
+nonzero maps in Hom(S, V), which hom_space solves by condensation at the
+first generator (Lux, Mueller, Ringe 1994).  enumerate_simple_submodules
+takes one map per F_p-line of that space and groups the maps by image; it
+needs the End degree of S, which the caller knows, and never builds End(S).
 """
 
 from __future__ import annotations
@@ -113,13 +114,12 @@ def inv_mat(A, p: int) -> np.ndarray:
 
 
 def poly_eval_matrix(f: list[int], M: np.ndarray, p: int) -> np.ndarray:
-    n = M.shape[0]
-    out = np.zeros((n, n), dtype=np.int64)
-    for c in reversed(f):
-        out = (out @ M) % p
-        if c:
-            out = (out + c * np.eye(n, dtype=np.int64)) % p
-    return out
+    """f(M) by Horner's rule from the leading coefficient: deg f - 1 products."""
+    eye = np.eye(M.shape[0], dtype=np.int64)
+    out = f[-1] * eye
+    for i, c in enumerate(reversed(f[:-1])):
+        out = ((out @ M if i else f[-1] * M) + c * eye) % p
+    return out % p
 
 
 def _echelon_insert(rows: list, pivots: list, v: np.ndarray, p: int,
@@ -378,59 +378,31 @@ def chop(gens, p: int, seed: int = 0, max_tries: int = 200) -> list[Constituent]
 def hom_space(gens_S, gens_V, p: int) -> list[np.ndarray]:
     """Basis of equivariant maps S -> V as (dim V x dim S) matrices.
 
-    Standard-basis method: spin S from its standard basis vectors, taking
-    each as a new seed only outside the span so far, and record every new
-    vector s_j as a seed or as g(s_src).  An equivariant X is fixed by the
-    images y of the r seeds: X s_j = W_j y, with W_j a block identity for a
-    seed and rho_V(g) W_src otherwise.  With B = [s_j] and
-    C_g = B^-1 rho_S(g) B, X is equivariant iff
-    rho_V(g) W_j y = sum_k C_g[k, j] W_k y for all g and j: a kernel in
-    r dim V unknowns, taken one generator at a time (the second on the
-    solutions of the first).  Each solution gives X = [W_j y]_j B^-1.
+    Condensation at the first generator g: with m its minimal polynomial on
+    S, every equivariant X has m(g_V) X = X m(g_S) = 0, so X = W^T Y for the
+    rows W of ker m(g_V), a g_V-stable subspace.  The Y (k x n) commuting
+    with g are one kernel of kron(g_W, I_n) - kron(I_k, g_S^T) on the
+    row-major vec(Y); each further generator keeps the combinations of
+    those candidates whose vectorised g_V X - X g_S vanishes.  No relation
+    among the generators, semisimplicity or cyclic S is assumed.
     """
     gens_S = [as_fp(M, p) for M in gens_S]
     gens_V = [as_fp(M, p) for M in gens_V]
-    n = gens_S[0].shape[0]
-    N = gens_V[0].shape[0]
-    if n == 0 or N == 0:
+    W = kernel(poly_eval_matrix(minpoly(gens_S[0], p), gens_V[0], p), p)
+    k, n = W.shape[0], gens_S[0].shape[0]
+    if k == 0:
         return []
-    rows, pivots = [], []  # echelon form of the span so far
-    vecs, words = [], []  # words[j] = (None, seed index) or (src, generator)
-    j = r = 0
-    for i in range(n):
-        seed = np.zeros(n, dtype=np.int64)
-        seed[i] = 1
-        if not _echelon_insert(rows, pivots, seed, p)[1]:
-            continue
-        vecs.append(seed)
-        words.append((None, r))
-        r += 1
-        while j < len(vecs):  # spin: images of s_j under each generator
-            for g, MS in enumerate(gens_S):
-                img = mm(MS, vecs[j], p)
-                if _echelon_insert(rows, pivots, img, p)[1]:
-                    vecs.append(img)
-                    words.append((j, g))
-            j += 1
-    W = np.zeros((n, N, r * N), dtype=np.int64)
-    for j, (src, g) in enumerate(words):
-        if src is None:
-            W[j, :, g * N:(g + 1) * N] = np.eye(N, dtype=np.int64)
-        else:
-            W[j] = mm(gens_V[g], W[src], p)
-    B = np.stack(vecs, axis=1)
-    B_inv = inv_mat(B, p)
-    basis = None  # rows: the solutions y so far
-    for MS, MV in zip(gens_S, gens_V):
-        C = mm(B_inv, mm(MS, B, p), p)
-        block = ((np.matmul(MV, W) - np.einsum("kj,kac->jac", C, W)) % p).reshape(-1, r * N)
-        if basis is None:
-            basis = kernel(block, p)
-        else:
-            basis = mm(kernel(mm(block, basis.T, p), p), basis, p)
-        if basis.shape[0] == 0:
-            return []
-    return [mm((W @ y).T, B_inv, p) for y in basis]
+    [g_W] = restrict_action(gens_V[:1], W, p)
+    basis = kernel(np.kron(g_W, np.eye(n, dtype=np.int64))
+                   - np.kron(np.eye(k, dtype=np.int64), gens_S[0].T), p)
+    Y = basis.reshape(-1, k, n)
+    for MS, MV in zip(gens_S[1:], gens_V[1:]):
+        if not len(Y):
+            break
+        defect = (np.matmul(mm(MV, W.T, p), Y) - np.matmul(W.T, np.matmul(Y, MS) % p)) % p
+        keep = kernel(defect.reshape(len(Y), -1).T, p)
+        Y = np.tensordot(keep, Y, axes=1) % p
+    return list(np.matmul(W.T, Y) % p)
 
 
 def _mat_pow(M, e: int, p: int) -> np.ndarray:

@@ -143,7 +143,7 @@ def _is_character_line(cls: SimpleClassInfo, sigma_val: int, phi_val: int, p: in
             and int(cls.phi[0, 0]) == phi_val % p)
 
 
-def structure_checks(result: EnumerationResult, seed: int = 0) -> VerificationReport:
+def structure_checks(result: EnumerationResult) -> VerificationReport:
     """Dimension and socle-multiplicity comparisons against the known
     decomposition of the class module."""
     report = VerificationReport()

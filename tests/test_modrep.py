@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from wildprim import gfpoly, modrep
+from wildprim.classmod import artinschreier_basis, galois_matrices, kummer_basis
+from wildprim.enumerator import simple_classes
 from wildprim.errors import InvariantViolation
 from wildprim.modrep import (
     brute_feasible, brute_simple_submodules, charpoly, chop,
@@ -11,6 +13,7 @@ from wildprim.modrep import (
     kernel, minpoly, poly_eval_matrix, quotient_action, rank, restrict_action,
     rref, solve, spin,
 )
+from wildprim.tower import BaseField, build_tower
 
 
 def c3_regular_gens():
@@ -151,23 +154,28 @@ def _random_invertible(n, p, rng):
             return T
 
 
-def _random_sum(pieces, count, p, rng):
-    """A direct sum of count pieces drawn with repetition, under a random
-    change of basis."""
-    chosen = [rng.choice(pieces) for _ in range(count)]
-    dim = sum(c[0].shape[0] for c in chosen)
-    T = _random_invertible(dim, p, rng)
-    T_inv = inv_mat(T, p)
+def _block_sum(*pieces):
+    """Generator matrices of the direct sum of modules (lists of matrices)."""
+    dim = sum(c[0].shape[0] for c in pieces)
     gens = []
-    for g in range(len(chosen[0])):
+    for g in range(len(pieces[0])):
         M = np.zeros((dim, dim), dtype=np.int64)
         at = 0
-        for c in chosen:
+        for c in pieces:
             k = c[g].shape[0]
             M[at:at + k, at:at + k] = c[g]
             at += k
-        gens.append((T @ M @ T_inv) % p)
+        gens.append(M)
     return gens
+
+
+def _random_sum(pieces, count, p, rng):
+    """A direct sum of count pieces drawn with repetition, under a random
+    change of basis."""
+    gens = _block_sum(*(rng.choice(pieces) for _ in range(count)))
+    T = _random_invertible(gens[0].shape[0], p, rng)
+    T_inv = inv_mat(T, p)
+    return [(T @ M @ T_inv) % p for M in gens]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -182,17 +190,96 @@ def test_hom_space_matches_kronecker_reference(p):
         cases.append((_random_sum(pieces, rng.randrange(1, 3), p, rng),
                       _random_sum(pieces, rng.randrange(1, 4), p, rng)))
     for S, V in cases:
-        H = hom_space(S, V, p)
-        for X in H:
-            assert X.shape == (V[0].shape[0], S[0].shape[0])
-            for MS, MV in zip(S, V):
-                assert not np.any((X @ MS - MV @ X) % p)
-        ref = _kronecker_hom_space(S, V, p)
-        got = np.array([X.ravel() for X in H], dtype=np.int64).reshape(len(H), ref.shape[1])
-        assert len(H) == ref.shape[0]
-        assert np.array_equal(rref(got, p)[0], rref(ref, p)[0])
+        _check_hom_space(S, V, p)
     # trivial^2 -> trivial^3: S is not cyclic, and every 3 x 2 matrix is a map
     assert len(hom_space(*cases[0], p)) == 6
+
+
+def _check_hom_space(S, V, p):
+    """hom_space(S, V) holds only equivariant maps and spans the same space
+    as the uncondensed Kronecker solve; returns its dimension."""
+    H = hom_space(S, V, p)
+    for X in H:
+        assert X.shape == (V[0].shape[0], S[0].shape[0])
+        for MS, MV in zip(S, V):
+            assert not np.any((X @ MS - MV @ X) % p)
+    ref = _kronecker_hom_space(S, V, p)
+    got = np.array([X.ravel() for X in H], dtype=np.int64).reshape(len(H), ref.shape[1])
+    assert len(H) == ref.shape[0]
+    assert np.array_equal(rref(got, p)[0], rref(ref, p)[0])
+    return len(H)
+
+
+JORDAN = np.array([[1, 1], [0, 1]], dtype=np.int64)
+SWAP = np.array([[0, 1], [1, 0]], dtype=np.int64)
+
+
+def test_hom_space_non_semisimple_first_generator():
+    # the first generator of S is a Jordan block (minimal polynomial
+    # (x - 1)^2); End(S) is the scalars, since only they commute with SWAP
+    p = 3
+    rng = random.Random(7)
+    S = [JORDAN, SWAP]
+    trivial = [np.eye(1, dtype=np.int64)] * 2
+    assert _check_hom_space(S, _random_sum([S], 2, p, rng), p) == 2
+    for _ in range(10):
+        _check_hom_space(S, _random_sum([S, trivial], rng.randrange(1, 4), p, rng), p)
+
+
+def test_hom_space_is_empty_when_the_condensed_space_is():
+    # m(g_V) is invertible: the eigenvalue 1 of g_S does not occur in g_V
+    p = 3
+    S = [np.eye(1, dtype=np.int64)] * 2
+    V = [2 * np.eye(3, dtype=np.int64), np.eye(3, dtype=np.int64)]
+    assert kernel(poly_eval_matrix(minpoly(S[0], p), V[0], p), p).shape[0] == 0
+    assert hom_space(S, V, p) == []
+    assert _kronecker_hom_space(S, V, p).shape[0] == 0
+
+
+def test_hom_space_when_the_second_generator_leaves_w():
+    # W = ker(g_V - 1) = <e1, e3> is not stable under h_V (h_V e1 = e1 + e2),
+    # and the only equivariant map from the trivial module sends 1 to e3
+    p = 3
+    S = [np.eye(1, dtype=np.int64)] * 2
+    g_V = np.diag([1, 2, 1]).astype(np.int64)
+    h_V = np.array([[1, 1, 0], [1, 2, 0], [0, 0, 1]], dtype=np.int64)
+    W = kernel(poly_eval_matrix(minpoly(S[0], p), g_V, p), p)
+    with pytest.raises(ValueError, match="not stable"):
+        restrict_action([g_V, h_V], W, p)
+    [X] = hom_space(S, [g_V, h_V], p)
+    assert X[2, 0] and not np.any(X[:2])
+    assert _check_hom_space(S, [g_V, h_V], p) == 1
+
+
+def test_hom_space_of_a_one_generator_module():
+    # S = F_2[x]/(x - 1)^2: its maps to V are the vectors killed by
+    # (g_V - 1)^2, here all of V = S + S + trivial
+    p = 2
+    V = _block_sum([JORDAN], [JORDAN], [np.eye(1, dtype=np.int64)])
+    assert _check_hom_space([JORDAN], V, p) == 5
+    T = _random_invertible(5, p, random.Random(3))
+    V = [(T @ V[0] @ inv_mat(T, p)) % p]
+    assert _check_hom_space([JORDAN], V, p) == 5
+
+
+@pytest.mark.parametrize("base,n,level_bound,only_dim_n", [
+    (BaseField(2, 1, 0), 2, None, False),
+    (BaseField(3, 1, 0), 1, None, False),
+    (BaseField(5, 1, 0), 1, None, False),
+    (BaseField(2, 1, 2), 2, 5, False),
+    (BaseField(2, 1, 0), 3, None, True),
+], ids=["Q_2,n=2", "Q_3,n=1", "Q_5,n=1", "F_2((t)),n=2,B=5", "Q_2,n=3"])
+def test_hom_space_on_tower_class_modules(base, n, level_bound, only_dim_n):
+    # the condensed solve against the plain Kronecker solve on the class
+    # modules the enumerator meets: every simple class, or those of dim n
+    tower = build_tower(base, n)
+    mats = galois_matrices(kummer_basis(tower) if base.char == 0
+                           else artinschreier_basis(tower, level_bound))
+    V = [mats[tower.sigma], mats[tower.phi]]
+    classes = [c for c in simple_classes(tower) if not only_dim_n or c.dim == n]
+    assert classes
+    for cls in classes:
+        _check_hom_space(cls.gens(), V, tower.p)
 
 
 def _solve_per_column(gens, rows, p):
