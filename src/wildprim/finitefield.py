@@ -162,7 +162,9 @@ class FiniteField:
             return [0, 1]  # x
         for code in range(p ** f):
             coeffs = [(code // p ** i) % p for i in range(f)] + [1]
-            if gfpoly.is_irreducible(coeffs, p):
+            # a root in F_p is a linear factor: skip the Rabin test
+            if all(sum(c * a ** i for i, c in enumerate(coeffs)) % p
+                   for a in range(p)) and gfpoly.is_irreducible(coeffs, p):
                 return coeffs
         raise RuntimeError("unreachable: irreducible polynomials exist")
 

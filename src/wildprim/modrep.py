@@ -226,17 +226,23 @@ def charpoly(M, p: int) -> list[int]:
     return list(out) + [0] * (n + 1 - len(out))
 
 
-def spin(gens, seeds, p: int) -> np.ndarray:
-    """Canonical row basis of the smallest invariant subspace holding seeds."""
+def spin(gens, seeds, p: int, limit: int | None = None) -> np.ndarray:
+    """Canonical row basis of the smallest invariant subspace holding seeds.
+
+    With a limit, the spin stops once its span has limit + 1 rows and
+    returns those rows; a spin of at most limit rows never gets there and
+    comes back whole, exactly as without the limit.
+    """
     gens = [as_fp(M, p) for M in gens]
     dim = gens[0].shape[0]
+    cap = dim if limit is None else min(dim, limit + 1)
     gens_t = [np.ascontiguousarray(M.T) for M in gens]
     rows: list[np.ndarray] = []
     pivots: list[int] = []
     queue = deque(as_fp(s, p).reshape(-1) for s in np.atleast_2d(seeds))
-    while queue and len(rows) < dim:
+    while queue and len(rows) < cap:
         v, inserted = _echelon_insert(rows, pivots, queue.popleft(), p)
-        if inserted and len(rows) < dim:
+        if inserted and len(rows) < cap:
             for Mt in gens_t:
                 queue.append((v @ Mt) % p)
     if not rows:
@@ -487,6 +493,8 @@ def brute_simple_submodules(gens_V, n: int, p: int):
 
     Every simple submodule is the spin of each of its nonzero vectors, so
     collecting n-dimensional spins and filtering for simplicity is complete.
+    A spin stops once it passes n rows: its row count never shrinks, so it
+    would be discarded, and no spin inside an n-dimensional submodule does.
     """
     gens_V = [as_fp(M, p) for M in gens_V]
     dim = gens_V[0].shape[0]
@@ -494,7 +502,7 @@ def brute_simple_submodules(gens_V, n: int, p: int):
         raise ValueError(f"brute enumeration infeasible at dimension {dim}")
     seen = {}
     for v in _line_representatives(dim, p):
-        rows = spin(gens_V, v, p)
+        rows = spin(gens_V, v, p, limit=n)
         if rows.shape[0] != n:
             continue
         key = tuple(rows.ravel())

@@ -46,6 +46,23 @@ def test_modulus_f8_least_of_exhaustive():
     assert field_create(2, 3).modulus == [1, 1, 0, 1]  # x^3 + x + 1
 
 
+def first_irreducible_unfiltered(p, f):
+    """The least monic irreducible of degree f, in field_create's code order,
+    with the Rabin test run on every candidate."""
+    for code in range(p ** f):
+        poly = [(code // p ** i) % p for i in range(f)] + [1]
+        if gfpoly.is_irreducible(poly, p):
+            return poly
+
+
+@pytest.mark.parametrize("p,f", [
+    (2, 2), (2, 8), (2, 19), (3, 5), (3, 12), (7, 2), (7, 3), (7, 12),
+])
+def test_modulus_matches_unfiltered_scan(p, f):
+    # the modulus search skips candidates with a root in F_p
+    assert field_create(p, f).modulus == first_irreducible_unfiltered(p, f)
+
+
 def test_field_create_errors():
     with pytest.raises(ValueError):
         field_create(4, 2)

@@ -77,6 +77,28 @@ def test_spin_of_nonfixed_vector_fills_module():
     assert rows.shape[0] == 3
 
 
+def test_spin_with_a_limit():
+    gens = c3_regular_gens()
+    # [1, 1, 1] spins the trivial line, [1, 1, 0] the augmentation plane
+    for v, size in (([1, 1, 1], 1), ([1, 1, 0], 2)):
+        full = spin(gens, np.array(v), 2)
+        assert full.shape[0] == size
+        for limit in range(size, 3):
+            assert np.array_equal(spin(gens, np.array(v), 2, limit=limit), full)
+    # [1, 0, 0] spins the whole module: a smaller limit stops it early
+    for limit in (0, 1):
+        rows = spin(gens, np.array([1, 0, 0]), 2, limit=limit)
+        assert rows.shape[0] == limit + 1 and rank(rows, 2) == limit + 1
+
+
+def test_spin_with_a_limit_of_dim_or_more_is_unbounded():
+    gens = c3_regular_gens()
+    for code in range(1, 8):
+        v = np.array([(code >> i) & 1 for i in range(3)])
+        for limit in (3, 4, 10):
+            assert np.array_equal(spin(gens, v, 2, limit=limit), spin(gens, v, 2))
+
+
 def test_minpoly_and_charpoly_agree_on_companion():
     # companion matrix of x^3 + x + 1 over F_2
     C = np.array([[0, 0, 1], [1, 0, 1], [0, 1, 0]], dtype=np.int64)
@@ -429,6 +451,21 @@ def p3_module():
     return [M]
 
 
+# companion matrices of x^2 + x + 1 and x^3 + x + 1, irreducible over F_2
+F2_PLANE = np.array([[0, 1], [1, 1]], dtype=np.int64)
+F2_CUBE = np.array([[0, 0, 1], [1, 0, 1], [0, 1, 0]], dtype=np.int64)
+
+
+def f2_module():
+    """Trivial line + two copies of the x^2 + x + 1 plane + the x^3 + x + 1
+    space, over F_2 under a change of basis: 1 simple line,
+    (4^2 - 1)/(4 - 1) = 5 simple planes and 1 simple 3-space."""
+    (M,) = _block_sum([np.eye(1, dtype=np.int64)], [F2_PLANE], [F2_PLANE],
+                      [F2_CUBE])
+    T = _random_invertible(8, 2, random.Random(8))
+    return [(T @ M @ inv_mat(T, 2)) % 2]
+
+
 def test_enumerate_matches_brute_at_p3():
     p = 3
     gens = p3_module()
@@ -441,23 +478,25 @@ def test_enumerate_matches_brute_at_p3():
 
 
 def test_brute_matches_full_scan_at_p3():
-    p = 3
-    gens = p3_module()
-
-    def digits(code, n):
+    # the reference spins every nonzero vector in full, where the brute scan
+    # stops each spin once it passes n rows
+    def digits(code, n, p):
         return np.array([(code // p ** i) % p for i in range(n)], dtype=np.int64)
 
-    for n, count in ((1, 4), (2, 10)):
-        full = set()
-        for code in range(1, p ** 7):
-            rows = spin(gens, digits(code, 7), p)
-            if rows.shape[0] == n and all(
-                    spin(gens, digits(c, n) @ rows % p, p).shape[0] == n
-                    for c in range(1, p ** n)):
-                full.add(tuple(rows.ravel()))
-        brute = brute_simple_submodules(gens, n, p)
-        assert len(full) == count
-        assert [tuple(r.ravel()) for r in brute] == sorted(full)
+    for p, gens, counts in ((3, p3_module(), ((1, 4), (2, 10))),
+                            (2, f2_module(), ((1, 1), (2, 5), (3, 1)))):
+        dim = gens[0].shape[0]
+        spins = [spin(gens, digits(code, dim, p), p) for code in range(1, p ** dim)]
+        for n, count in counts:
+            full = set()
+            for rows in spins:
+                if rows.shape[0] == n and all(
+                        spin(gens, digits(c, n, p) @ rows % p, p).shape[0] == n
+                        for c in range(1, p ** n)):
+                    full.add(tuple(rows.ravel()))
+            brute = brute_simple_submodules(gens, n, p)
+            assert len(full) == count
+            assert [tuple(r.ravel()) for r in brute] == sorted(full)
 
 
 def test_image_canonical():

@@ -15,6 +15,7 @@ Q2 = BaseField(2, 1, 0)
 Q3 = BaseField(3, 1, 0)
 Q4 = BaseField(2, 2, 0)
 F2T = BaseField(2, 1, 2)
+Q9 = BaseField(3, 2, 0)
 F4T = BaseField(2, 2, 2)
 
 
@@ -87,6 +88,7 @@ def test_structure_dimension_examples():
 
 @pytest.mark.parametrize("base,n,bound", [
     (Q2, 1, None), (Q2, 2, None), (F2T, 1, 3), (F2T, 2, 1), (Q3, 1, None),
+    (Q9, 1, None),
 ])
 def test_cross_checks_pass(base, n, bound):
     res = enumerate_primitive(base, n, level_bound=bound, use_cache=False)
