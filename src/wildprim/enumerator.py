@@ -14,9 +14,12 @@ structural fingerprints (dimension plus the characteristic polynomial of
 every group element), which are isomorphism invariants, so catalogs do not
 depend on the basis chosen for a class.  The closed form also gives each
 class's End degree d (End(S) = F_{p^d}), which the submodule enumeration
-checks its count of Hom maps per image against.  Nothing is random, the
-only cache is the class basis's table of representative powers, and the
-degree-n classes are enumerated one after another in the calling thread.
+checks its count of Hom maps per image against.  Nothing is random, and
+the degree-n classes are enumerated one after another in the calling
+thread.  The caches are deterministic tables that live in memory only:
+field_create's fields, each field's and each coefficient ring's Frobenius
+powers, TameTower.conjugacy_classes and the class basis's representative
+powers; no enumeration result is cached.
 """
 
 from __future__ import annotations
@@ -154,8 +157,7 @@ def simple_classes(tower: TameTower) -> list[SimpleClassInfo]:
                 # p^d k = q^-j' k mod e; b is the first unit with J^(r/d) = 1
                 jp = next(i for i in range(t)
                           if (p ** d * k - k * pow(qinv, i, e)) % e == 0)
-                frob = np.kron(np.eye(t, dtype=np.int64),
-                               F.linear_matrix(lambda x: x ** (p ** d)))
+                frob = np.kron(np.eye(t, dtype=np.int64), F.frobenius_power(d))
                 eye = np.eye(t * r, dtype=np.int64)
                 for code in range(1, F.order):
                     J = shift(jp, F.from_code(code)) @ frob % p
@@ -333,7 +335,7 @@ def enumerate_primitive(base: BaseField, n: int, *, level_bound: int | None = No
     Char p requires level_bound (only finitely many records have bounded
     differental exponent; the module is materialized up to that bound).
     seed is only recorded in the options (and so in the catalog metadata);
-    use_cache is accepted and ignored, as nothing is cached.
+    use_cache is accepted and ignored, as no enumeration result is cached.
     """
     if base.char != 0 and level_bound is None:
         raise ValueError("equal characteristic requires a level bound")

@@ -6,10 +6,8 @@ coefficients), so the same (p, f) always yields the same field with no
 external tables.  Elements are coefficient tuples in the power basis of
 the class of x; the element enumeration order used for every "first root"
 and "least generator" rule is the same value order on coefficient vectors.
-
-Subfield compatibility is not baked into the moduli; it is provided by the
-explicit embed() map, which sends the generator of the small field to the
-first root of its modulus inside the big field.
+Every Frobenius power, the p-th root and the trace come from one cached
+table of F_p-matrices, FiniteField.frobenius_power.
 """
 
 from __future__ import annotations
@@ -76,9 +74,6 @@ class FFElt:
         return FFElt(self.field, self.field._mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self * other.inverse()
 
     def __pow__(self, e: int):
         if e < 0:
@@ -187,10 +182,17 @@ class FiniteField:
         return tuple(c % p for c in out[:f])
 
     @cached_property
-    def root_matrix(self) -> np.ndarray:
-        """F_p-matrix of the p-th root x -> x^(p^(f-1)): the (f-1)-th power
-        of the matrix of x -> x^p."""
-        return modrep._mat_pow(self.linear_matrix(lambda t: t ** self.p), self.f - 1, self.p)
+    def _frob_pows(self) -> np.ndarray:
+        """Stack of the F_p-matrices of x -> x^(p^k), k = 0..f-1."""
+        step = self.linear_matrix(lambda t: t ** self.p)
+        pows = [np.eye(self.f, dtype=np.int64)]
+        for _ in range(self.f - 1):
+            pows.append(modrep.mm(step, pows[-1], self.p))
+        return np.stack(pows)
+
+    def frobenius_power(self, k: int) -> np.ndarray:
+        """Matrix (columns = images of x^j) of x -> x^(p^k), k mod f."""
+        return self._frob_pows[k % self.f]
 
     def from_code(self, code: int) -> FFElt:
         return FFElt(self, [(code // self.p ** i) % self.p for i in range(self.f)])
@@ -230,108 +232,21 @@ def field_create(p: int, f: int) -> FiniteField:
 
 def frobenius(x: FFElt, k: int = 1) -> FFElt:
     """x^(p^k); k may be any integer (negative = inverse Frobenius)."""
-    f = x.field.f
-    k %= f
-    return x ** (x.field.p ** k)
+    F = x.field
+    return FFElt(F, F.frobenius_power(k) @ np.array(x.coeffs, dtype=np.int64))
 
 
 def pth_root(x: FFElt) -> FFElt:
-    return FFElt(x.field, x.field.root_matrix @ np.array(x.coeffs, dtype=np.int64))
-
-
-class Embedding:
-    """Ring embedding of a subfield determined by the first-root rule."""
-
-    def __init__(self, sub: FiniteField, sup: FiniteField):
-        if sup.f % sub.f or sub.p != sup.p:
-            raise ValueError(
-                f"no embedding: F_{sub.p}^{sub.f} does not sit inside F_{sup.p}^{sup.f}")
-        self.sub = sub
-        self.sup = sup
-        root = self._first_root()
-        self._powers = [sup.one]
-        for _ in range(sub.f - 1):
-            self._powers.append(self._powers[-1] * root)
-        self.root = root
-        self._matrix = np.array([pw.coeffs for pw in self._powers],
-                                dtype=np.int64).T % sup.p
-
-    def _first_root(self) -> FFElt:
-        sub, sup = self.sub, self.sup
-        if sub.f == 1:
-            return sup.one
-        if sub == sup:
-            first = sub.gen
-        else:
-            # The subfield copy inside sup is the kernel of Frob^(sub.f) - id;
-            # scan it in enumeration order until one root of the modulus shows.
-            frob_mat = sup.linear_matrix(lambda e: frobenius(e, sub.f))
-            eye = np.eye(sup.f, dtype=np.int64)
-            rows = modrep.kernel((frob_mat - eye) % sup.p, sup.p)
-            first = None
-            for code in range(1, sup.p ** rows.shape[0]):
-                combo = np.zeros(sup.f, dtype=np.int64)
-                for i in range(rows.shape[0]):
-                    digit = (code // sup.p ** i) % sup.p
-                    if digit:
-                        combo = (combo + digit * rows[i]) % sup.p
-                y = FFElt(sup, combo.tolist())
-                if _poly_at(sub.modulus, y).is_zero():
-                    first = y
-                    break
-            if first is None:
-                raise RuntimeError("modulus has no root in the subfield copy")
-        # all roots form one Frobenius orbit; the rule wants the least one
-        orbit = [first]
-        for _ in range(sub.f - 1):
-            orbit.append(frobenius(orbit[-1]))
-        return min(orbit, key=lambda y: y.code())
-
-    def __call__(self, x: FFElt) -> FFElt:
-        if x.field != self.sub:
-            raise ValueError("element is not in the source field")
-        out = self.sup.zero
-        for c, pw in zip(x.coeffs, self._powers):
-            if c:
-                out = out + c * pw
-        return out
-
-    def section(self, y: FFElt) -> FFElt:
-        """Preimage of y; raises ValueError when y is outside the image."""
-        sol = modrep.solve(self._matrix, np.array(y.coeffs, dtype=np.int64), self.sup.p)
-        return FFElt(self.sub, sol.tolist())
-
-
-def _poly_at(poly: list[int], x: FFElt) -> FFElt:
-    acc = x.field.zero
-    for c in reversed(poly):
-        acc = acc * x + x.field.from_int(c)
-    return acc
-
-
-@lru_cache(maxsize=None)
-def embed(sub: FiniteField, sup: FiniteField) -> Embedding:
-    return Embedding(sub, sup)
-
-
-def trace_to(x: FFElt, sub: FiniteField) -> FFElt:
-    """Trace of x down to (an abstract copy of) the subfield sub."""
-    F = x.field
-    if F.f % sub.f or F.p != sub.p:
-        raise ValueError("trace target is not a subfield")
-    acc = x
-    term = x
-    for _ in range(F.f // sub.f - 1):
-        term = frobenius(term, sub.f)
-        acc = acc + term
-    if sub.f == F.f:
-        return acc if sub == F else FFElt(sub, acc.coeffs)
-    return embed(sub, F).section(acc)
+    return frobenius(x, -1)
 
 
 def abs_trace(x: FFElt) -> int:
-    """Trace to the prime field, as an integer in [0, p)."""
-    return trace_to(x, field_create(x.field.p, 1)).coeffs[0]
+    """Trace to the prime field, as an integer in [0, p).  The sum of the
+    Frobenius powers maps F onto the constants; its first row reads the
+    trace off x."""
+    F = x.field
+    row = F._frob_pows[:, 0].sum(axis=0) % F.p
+    return int(row @ np.array(x.coeffs, dtype=np.int64)) % F.p
 
 
 def find_generator(F: FiniteField) -> FFElt:
@@ -350,18 +265,26 @@ def find_generator(F: FiniteField) -> FFElt:
 def first_element_of_order(F: FiniteField, e: int) -> FFElt:
     """First element (value order) of exact multiplicative order e.
 
-    Found by listing the e-th roots of unity through the subfield they
-    generate, so no scan of the big field is needed.
+    The e-th roots of unity lie in the subfield fixed by x -> x^(p^j), j the
+    order of p mod e.  A scan of that fixed space finds one element z of
+    exact order e; the elements of exact order e are the primitive powers
+    of z, and the least of them in value order is returned.
     """
     if e == 1:
         return F.one
     if (F.order - 1) % e:
         raise ValueError(f"no elements of order {e} in F_{F.p}^{F.f}")
+    p = F.p
     j = 1
-    while (F.p ** j - 1) % e:
+    while (p ** j - 1) % e:
         j += 1
-    sub = field_create(F.p, j)
-    g = find_generator(sub)
-    zeta0 = embed(sub, F)(g ** ((sub.order - 1) // e))
-    candidates = [zeta0 ** k for k in range(1, e) if gcd(k, e) == 1]
-    return min(candidates, key=lambda y: y.code())
+    rows = modrep.kernel(F.frobenius_power(j) - np.eye(F.f, dtype=np.int64), p)
+    cofactor = (p ** j - 1) // e
+    primes = gfpoly._prime_divisors(e)
+    for code in range(1, p ** j):
+        digits = np.array([(code // p ** i) % p for i in range(j)], dtype=np.int64)
+        z = FFElt(F, digits @ rows) ** cofactor
+        if all(z ** (e // ell) != F.one for ell in primes):
+            return min((z ** k for k in range(1, e) if gcd(k, e) == 1),
+                       key=FFElt.code)
+    raise RuntimeError("unreachable: the fixed field has a cyclic unit group")

@@ -26,8 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .finitefield import (FFElt, embed, field_create, first_element_of_order,
-                          frobenius)
+from .finitefield import FFElt, field_create, first_element_of_order, frobenius
 from .localring import RingElt, default_precision, ring_create
 
 
@@ -89,8 +88,6 @@ class TameTower:
         self.zeta = (self.residue.one if self.e == 1
                      else first_element_of_order(self.residue, self.e))
         self.prec = default_precision(base.p, self.e) if precision is None else precision
-        self.base_residue = field_create(base.p, base.f)
-        self.base_embedding = embed(self.base_residue, self.residue)
         self.group_order = self.s * self.e * self.e
         self.sigma: GroupElt = (1 % self.e, 0)
         self.phi: GroupElt = (0, 1 % (self.s * self.e))

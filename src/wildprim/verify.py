@@ -248,11 +248,11 @@ def duality_checks(result: EnumerationResult) -> VerificationReport:
     for k, record in enumerate(result.records):
         rows = np.array(record.d_basis, dtype=np.int64)
         rho_s, rho_p = modrep.restrict_action(V, rows, p)
-        tw_s = (result.omega[tower.sigma] * modrep.inv_mat(rho_s, p).T) % p
-        tw_p = (result.omega[tower.phi] * modrep.inv_mat(rho_p, p).T) % p
+        dual_s, dual_p = (modrep.inv_mat(rho, p).T for rho in (rho_s, rho_p))
+        tw_s = (result.omega[tower.sigma] * dual_s) % p
+        tw_p = (result.omega[tower.phi] * dual_p) % p
         if p == 2:
-            ok_twist = (np.array_equal(tw_s, modrep.inv_mat(rho_s, p).T)
-                        and np.array_equal(tw_p, modrep.inv_mat(rho_p, p).T))
+            ok_twist = np.array_equal(tw_s, dual_s) and np.array_equal(tw_p, dual_p)
         else:
             ok_twist = True
         q = tower.base.q

@@ -5,8 +5,8 @@ import pytest
 
 from wildprim import gfpoly, modrep
 from wildprim.finitefield import (
-    FFElt, abs_trace, embed, field_create, find_generator,
-    first_element_of_order, frobenius, pth_root, trace_to,
+    FFElt, abs_trace, field_create, find_generator, first_element_of_order,
+    frobenius, pth_root,
 )
 
 
@@ -95,12 +95,26 @@ def test_frobenius_is_automorphism_and_has_order_f():
         assert frobenius(a, F.f) == a
 
 
+def assert_trace_is_conjugate_sum(x):
+    """abs_trace(x) is the constant coefficient of the sum of the f
+    conjugates of x, a sum with no other nonzero coefficient."""
+    F = x.field
+    total, conj = F.zero, x
+    for _ in range(F.f):
+        total, conj = total + conj, conj ** F.p
+    assert total.coeffs[1:] == (0,) * (F.f - 1)
+    assert abs_trace(x) == total.coeffs[0]
+
+
 @pytest.mark.parametrize("p,f", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
 def test_pth_root_inverts_pth_power_exhaustively(p, f):
     F = field_create(p, f)
     for x in F.elements():
         assert pth_root(x ** p) == x
         assert pth_root(x) ** p == x
+        for k in range(-1, f + 1):
+            assert frobenius(x, k) == x ** (p ** (k % f))
+        assert_trace_is_conjugate_sum(x)
 
 
 LARGE_FIELDS = [(2, 1), (2, 21), (3, 32), (2, 60)]
@@ -127,11 +141,8 @@ def test_pth_root_matches_power_p_f_minus_1(p, f):
         r = pth_root(x)
         assert r ** p == x
         assert r == x ** (p ** (f - 1))
-
-
-def test_trace_of_one_in_f4_over_f2():
-    F4 = field_create(2, 2)
-    assert trace_to(F4.one, field_create(2, 1)).is_zero()
+        assert frobenius(x) == x ** p
+        assert_trace_is_conjugate_sum(x)
 
 
 def test_pth_root_of_generator_in_f4():
@@ -166,45 +177,30 @@ def test_first_element_of_order():
     assert first_element_of_order(F, 1) == F.one
 
 
-def test_embed_prime_field_and_error():
-    F2, F4 = field_create(2, 1), field_create(2, 2)
-    assert embed(F2, F4)(F2.one) == F4.one
+def multiplicative_order(x):
+    k, acc = 1, x
+    while acc != x.field.one:
+        acc = acc * x
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("p,f", [(2, 6), (3, 4), (5, 2), (7, 2)])
+def test_first_element_of_order_matches_full_scan(p, f):
+    F = field_create(p, f)
+    q1 = F.order - 1
+    # value order is code order: the first element found is the least
+    least = {}
+    for x in F.elements():
+        if not x.is_zero():
+            least.setdefault(multiplicative_order(x), x)
+    assert sorted(least) == [e for e in range(1, q1 + 1) if q1 % e == 0]
+    for e, x in least.items():
+        assert first_element_of_order(F, e) == x
     with pytest.raises(ValueError):
-        embed(field_create(2, 3), F4)
-
-
-def test_embed_generator_satisfies_modulus():
-    F4 = field_create(2, 2)
-    F4096 = field_create(2, 12)
-    img = embed(F4, F4096)(F4.gen)
-    assert img * img + img + F4096.one == F4096.zero
-
-
-@pytest.mark.parametrize("fs,fl", [(2, 6), (3, 6), (2, 8)])
-def test_embed_respects_ring_structure_and_frobenius(fs, fl):
-    sub, sup = field_create(2, fs), field_create(2, fl)
-    phi = embed(sub, sup)
-    rng = random.Random(5)
-    for _ in range(30):
-        a = sub.from_code(rng.randrange(sub.order))
-        b = sub.from_code(rng.randrange(sub.order))
-        assert phi(a + b) == phi(a) + phi(b)
-        assert phi(a * b) == phi(a) * phi(b)
-        assert phi(a) ** 2 == phi(a * a)
-    # section inverts
-    for _ in range(10):
-        a = sub.from_code(rng.randrange(sub.order))
-        assert phi.section(phi(a)) == a
-
-
-def test_trace_to_intermediate_field():
-    F2, F4, F16 = field_create(2, 1), field_create(2, 2), field_create(2, 4)
-    for x in F16.elements():
-        t = trace_to(x, F4)
-        # transitivity of traces
-        assert trace_to(t, F2) == trace_to(x, F2)
-    # trace is onto the subfield
-    assert {trace_to(x, F4).code() for x in F16.elements()} == set(range(4))
+        first_element_of_order(F, q1 + 1)
+    with pytest.raises(ValueError):
+        first_element_of_order(F, next(e for e in range(2, q1) if q1 % e))
 
 
 def solve_artin_schreier(c, b):

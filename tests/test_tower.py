@@ -5,6 +5,8 @@ import pytest
 
 from laurent import laurent_product, laurent_sum, random_laurent
 from ringref import agrees_with, leading
+from wildprim import modrep
+from wildprim.finitefield import FFElt
 from wildprim.localring import RingElt
 from wildprim.tower import BaseField, build_tower
 
@@ -146,10 +148,14 @@ def test_full_frobenius_power_is_identity():
 @pytest.mark.parametrize("base,n", [(Q2, 2), (Q4, 2), (F2T, 2)])
 def test_base_field_is_fixed(base, n):
     t = build_tower(base, n)
-    k = t.base_residue
-    for code in range(k.order):
+    F, p = t.residue, t.p
+    # the base residue field inside F: the fixed space of x -> x^(p^f)
+    rows = modrep.kernel(F.frobenius_power(base.f) - np.eye(F.f, dtype=np.int64), p)
+    assert rows.shape[0] == base.f
+    for code in range(p ** base.f):
+        digits = np.array([(code // p ** i) % p for i in range(base.f)], dtype=np.int64)
+        img = FFElt(F, digits @ rows)
         # Teichmueller lift in char 0, constant Laurent polynomial in char p
-        img = t.base_embedding(k.from_code(code))
         if base.char == 0:
             lift = RingElt.teichmuller(t.ring, img)
         else:
