@@ -58,6 +58,8 @@ class ClassBasis:
         self.dim = len(vectors)
         self.level_bound = level_bound
         self._pos = {(v.kind, v.level, v.j): i for i, v in enumerate(vectors)}
+        self._levels = np.array([v.level for v in vectors], dtype=np.int64)
+        self._levels.flags.writeable = False
         self.aux = aux or {}
         self._powers: dict[tuple[int, int], RingElt] = {}
 
@@ -71,7 +73,7 @@ class ClassBasis:
         return self._powers[idx, k]
 
     def levels(self) -> np.ndarray:
-        return np.array([v.level for v in self.vectors], dtype=np.int64)
+        return self._levels
 
     @property
     def boundary_level(self) -> int:
@@ -284,19 +286,18 @@ def filtration_index(basis: ClassBasis, rows: np.ndarray):
     p = basis.tower.p
     rows = modrep.as_fp(rows, p)
     levels = basis.levels()
-    support = np.flatnonzero(np.any(rows, axis=0))
-    if support.size == 0:
+    support = np.any(rows, axis=0)
+    if not support.any():
         raise ValueError("the zero subspace has no filtration index")
     if basis.char == 0:
         i_star = int(levels[support].min())
-        deeper = np.flatnonzero(levels >= i_star + 1)
+        keep = levels <= i_star
     else:
         # stored levels are pole orders; filtration position is their negative
         i_star = -int(levels[support].max())
-        deeper = np.flatnonzero(levels <= -i_star - 1)
-    keep = np.setdiff1d(np.arange(basis.dim), deeper)
-    meet = modrep.kernel(rows[:, keep].T, p)
-    straddle = meet.shape[0] > 0
+        keep = levels >= -i_star
+    # D meets the deeper span exactly when its rows lose rank on the rest
+    straddle = modrep.rank(rows[:, keep], p) < len(rows)
     return i_star, straddle
 
 

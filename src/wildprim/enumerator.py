@@ -6,7 +6,7 @@ filtration level delta equals the differental excess, so the differental
 exponent of a ramified record is delta + p^n - 1 and its discriminant
 exponent coincides (totally ramified, residual degree 1).  The Galois
 closure has order p^n times the order of the image of the twisted dual
-action on D (the twist is trivial for p = 2).
+action on D (the twist is trivial for p = 2), the same for every D of a class.
 
 Representation classes are built in closed form from Clifford theory of
 the tower group (see simple_classes); their identifiers follow the order of
@@ -263,6 +263,9 @@ def closure_descriptor(tower: TameTower, rho_sigma: np.ndarray, rho_phi: np.ndar
     The wild part of the closure group has order p^n; the tame image is the
     matrix group generated by the twisted dual action (literally the
     inverse-transpose for p = 2, where the twist character is trivial).
+    Each parameter subspace of class S is the image of an injective map C,
+    equivariant by enumerate_simple_submodules's once-per-class check, so it
+    acts by C rho_S C^-1 with one C for both generators: its descriptor is S's.
     """
     p = tower.p
     n = rho_sigma.shape[0]
@@ -287,10 +290,10 @@ def level_divisibility_holds(tower: TameTower, basis: ClassBasis, delta: int) ->
         delta == 0 or (tower.base.char == 0 and delta == p * basis.c_index))
 
 
-def _record_for(tower: TameTower, basis: ClassBasis, omega: dict,
-                cls: SimpleClassInfo, rows: np.ndarray,
-                action: list[np.ndarray]) -> ExtensionRecord:
-    """The record of the stable subspace rows, acted on by action = [sigma, phi]."""
+def _record_for(tower: TameTower, basis: ClassBasis, cls: SimpleClassInfo,
+                rows: np.ndarray, closure: tuple) -> ExtensionRecord:
+    """The record of the parameter subspace rows of class cls, whose
+    closure_descriptor is closure (a class invariant, taken once)."""
     p, n = tower.p, tower.n
     i_star, straddle = filtration_index(basis, rows)
     if straddle:
@@ -305,7 +308,7 @@ def _record_for(tower: TameTower, basis: ClassBasis, omega: dict,
     tres = tower.base.char == 0 and n == 1 and delta == p * basis.c_index
     degree = p ** n
     d = 0 if unramified else delta + degree - 1
-    image_order, closure_order, label = closure_descriptor(tower, *action, omega)
+    image_order, closure_order, label = closure
     return ExtensionRecord(
         base=tower.base.describe(),
         n=n,
@@ -351,9 +354,10 @@ def enumerate_primitive(base: BaseField, n: int, *, level_bound: int | None = No
     omega = omega_character(basis, matrices)
     classes = simple_classes(tower)
     degree_classes = [c for c in classes if c.dim == n]
-    records = [_record_for(tower, basis, omega, cls, rows, action)
-               for cls in degree_classes
-               for rows, action in modrep.enumerate_simple_submodules(
+    closures = [closure_descriptor(tower, *cls.gens(), omega) for cls in degree_classes]
+    records = [_record_for(tower, basis, cls, rows, closure)
+               for cls, closure in zip(degree_classes, closures)
+               for rows in modrep.enumerate_simple_submodules(
                    gens_V, cls.gens(), cls.end_degree, tower.p)]
     by_class = {cls.identifier: cls.fingerprint for cls in degree_classes}
     records.sort(key=lambda r: (r.level, by_class[r.rep_id],

@@ -79,8 +79,7 @@ def solve(A, b, p: int) -> np.ndarray:
     if pivots and pivots[-1] == A.shape[1]:
         raise ValueError("inconsistent linear system")
     x = np.zeros(A.shape[1], dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = R[i, -1]
+    x[pivots] = R[:, -1]
     return x
 
 
@@ -91,10 +90,8 @@ def kernel(A, p: int) -> np.ndarray:
     R, pivots = rref(A, p)
     free = [c for c in range(ncols) if c not in pivots]
     out = np.zeros((len(free), ncols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        out[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            out[k, pc] = (-R[i, fc]) % p
+    out[np.arange(len(free)), free] = 1
+    out[:, pivots] = -R[:, free].T % p
     return out
 
 
@@ -233,13 +230,17 @@ def spin(gens, seeds, p: int, limit: int | None = None) -> np.ndarray:
     returns those rows; a spin of at most limit rows never gets there and
     comes back whole, exactly as without the limit.
     """
-    gens = [as_fp(M, p) for M in gens]
-    dim = gens[0].shape[0]
+    gens_t = [np.ascontiguousarray(as_fp(M, p).T) for M in gens]
+    return _spin(gens_t, list(as_fp(np.atleast_2d(seeds), p)), p, limit)
+
+
+def _spin(gens_t, seeds, p: int, limit: int | None = None) -> np.ndarray:
+    """spin of reduced seeds under reduced generators transposed once (v -> v M^T)."""
+    dim = gens_t[0].shape[0]
     cap = dim if limit is None else min(dim, limit + 1)
-    gens_t = [np.ascontiguousarray(M.T) for M in gens]
     rows: list[np.ndarray] = []
     pivots: list[int] = []
-    queue = deque(as_fp(s, p).reshape(-1) for s in np.atleast_2d(seeds))
+    queue = deque(seeds)
     while queue and len(rows) < cap:
         v, inserted = _echelon_insert(rows, pivots, queue.popleft(), p)
         if inserted and len(rows) < cap:
@@ -293,13 +294,8 @@ def quotient_action(gens, rows: np.ndarray, p: int):
     def project(v: np.ndarray) -> np.ndarray:
         return _echelon_insert(ech, pivots, as_fp(v, p).reshape(-1), p, width=0)[0][free]
 
-    mats = []
-    for M in gens:
-        M = as_fp(M, p)
-        Q = np.zeros((len(free), len(free)), dtype=np.int64)
-        for j, fc in enumerate(free):
-            Q[:, j] = project(M[:, fc])
-        mats.append(Q)
+    mats = [np.array([project(M[:, fc]) for fc in free], dtype=np.int64)
+            .reshape(len(free), len(free)).T for M in gens]
     return mats, project
 
 
@@ -423,44 +419,43 @@ def _mat_pow(M, e: int, p: int) -> np.ndarray:
 
 
 def enumerate_simple_submodules(gens_V, gens_S, end_degree: int,
-                                p: int) -> list[tuple[np.ndarray, list[np.ndarray]]]:
-    """All submodules of V isomorphic to the simple module S, as pairs
-    (canonical rref row basis, action in the coordinates of those rows),
-    sorted by the flattened basis.
+                                p: int) -> list[np.ndarray]:
+    """All submodules of V isomorphic to the simple module S, as canonical
+    rref row bases sorted by the flattened basis.
 
     They are the images of the nonzero maps in H = Hom(S, V), and two maps
     share their image exactly when they differ by a unit of
     End(S) = F_{p^d}, d = end_degree.  One map per F_p-line of H therefore
-    reaches each image (p^d - 1)/(p - 1) times; that count is checked, as
-    is the injectivity of every map and the simplicity of every image.
+    reaches each image (p^d - 1)/(p - 1) times; that count and the
+    injectivity of every map are checked.  Once per call, S is checked to
+    be simple and every basis map of H to be equivariant; an injective
+    equivariant image of a simple S is stable and simple, so no image is
+    restricted or spun.
     """
-    gens_V = [as_fp(M, p) for M in gens_V]
     n = gens_S[0].shape[0]
     H = hom_space(gens_S, gens_V, p)
     if not H:
         return []
-    flat = np.stack(H).reshape(len(H), -1)
+    if not _is_simple(gens_S, p):
+        raise InvariantViolation("emitted subspace is not simple")
+    stacked = np.stack(H)
+    if any(np.any((MV @ stacked - stacked @ MS) % p) for MV, MS in zip(gens_V, gens_S)):
+        raise InvariantViolation("a map of Hom(S, V) is not equivariant")
     hits: dict[bytes, list] = {}  # image key -> [rows, times reached]
-    maps = np.stack(list(_line_representatives(len(H), p))) @ flat % p
-    for h in maps.reshape(len(maps), -1, n):
+    lines = np.stack(list(_line_representatives(len(H), p)))
+    for h in np.tensordot(lines, stacked, axes=1) % p:
         ech = _echelon(h.T, p)[0]
         if len(ech) != n:
             raise InvariantViolation("hom from a simple module must be injective")
         rows = np.stack(ech)
         hits.setdefault(rows.tobytes(), [rows, 0])[1] += 1
     per_image = (p ** end_degree - 1) // (p - 1)
-    out = []
     for rows, times in hits.values():
         if times != per_image:
             raise InvariantViolation(
                 f"an image is reached by {times} lines of Hom, {per_image} "
                 f"expected at End degree {end_degree}")
-        action = restrict_action(gens_V, rows, p)
-        if not _is_simple(action, p):
-            raise InvariantViolation("emitted subspace is not simple")
-        out.append((rows, action))
-    out.sort(key=lambda pair: tuple(pair[0].ravel()))
-    return out
+    return sorted((rows for rows, _ in hits.values()), key=lambda rows: tuple(rows.ravel()))
 
 
 def _line_representatives(n: int, p: int):
@@ -500,9 +495,10 @@ def brute_simple_submodules(gens_V, n: int, p: int):
     dim = gens_V[0].shape[0]
     if not brute_feasible(dim, p):
         raise ValueError(f"brute enumeration infeasible at dimension {dim}")
+    gens_t = [np.ascontiguousarray(M.T) for M in gens_V]
     seen = {}
     for v in _line_representatives(dim, p):
-        rows = spin(gens_V, v, p, limit=n)
+        rows = _spin(gens_t, [v], p, limit=n)
         if rows.shape[0] != n:
             continue
         key = tuple(rows.ravel())

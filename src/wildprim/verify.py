@@ -251,10 +251,7 @@ def duality_checks(result: EnumerationResult) -> VerificationReport:
         dual_s, dual_p = (modrep.inv_mat(rho, p).T for rho in (rho_s, rho_p))
         tw_s = (result.omega[tower.sigma] * dual_s) % p
         tw_p = (result.omega[tower.phi] * dual_p) % p
-        if p == 2:
-            ok_twist = np.array_equal(tw_s, dual_s) and np.array_equal(tw_p, dual_p)
-        else:
-            ok_twist = True
+        ok_twist = p != 2 or (np.array_equal(tw_s, dual_s) and np.array_equal(tw_p, dual_p))
         q = tower.base.q
         conj = modrep.mm(modrep.mm(tw_p, tw_s, p), modrep.inv_mat(tw_p, p), p)
         ok_rel = np.array_equal(conj, modrep._mat_pow(tw_s, q, p))

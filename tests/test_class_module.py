@@ -319,6 +319,54 @@ def test_filtration_straddle_flag(q2n1):
     assert i_star == 0 and straddle
 
 
+def _filtration_index_by_kernel(basis, rows):
+    """filtration_index as the kernel of the meet with the deeper span."""
+    p = basis.tower.p
+    rows = modrep.as_fp(rows, p)
+    levels = basis.levels()
+    support = np.flatnonzero(np.any(rows, axis=0))
+    if support.size == 0:
+        raise ValueError("the zero subspace has no filtration index")
+    if basis.char == 0:
+        i_star = int(levels[support].min())
+        deeper = np.flatnonzero(levels >= i_star + 1)
+    else:
+        i_star = -int(levels[support].max())
+        deeper = np.flatnonzero(levels <= -i_star - 1)
+    keep = np.setdiff1d(np.arange(basis.dim), deeper)
+    return i_star, modrep.kernel(rows[:, keep].T, p).shape[0] > 0
+
+
+@pytest.mark.parametrize("base,n,bound", [
+    (Q2, 2, None), (Q3, 1, None), (F4T, 1, 7), (BaseField(3, 1, 3), 1, 8),
+], ids=["Q_2,n=2", "Q_3,n=1", "F_4((t)),n=1,B=7", "F_3((t)),n=1,B=8"])
+def test_filtration_index_matches_the_kernel_reference(base, n, bound):
+    t = build_tower(base, n)
+    basis = kummer_basis(t) if base.char == 0 else artinschreier_basis(t, bound)
+    p = t.p
+    levels = basis.levels()
+    rng = random.Random(11)
+    straddles = set()
+    for _ in range(200):
+        # rows supported on a random window of levels: a one-level window
+        # never straddles in one row, a wide one often does in several
+        lo, hi = sorted(rng.sample(sorted(set(levels.tolist())), 2))
+        if rng.random() < 0.4:
+            hi = lo
+        cols = np.flatnonzero((levels >= lo) & (levels <= hi))
+        rows = np.zeros((rng.randrange(1, 4), basis.dim), dtype=np.int64)
+        rows[:, cols] = [[rng.randrange(p) for _ in cols] for _ in rows]
+        if not rows.any():
+            continue
+        got = filtration_index(basis, rows)
+        assert got == _filtration_index_by_kernel(basis, rows)
+        straddles.add(got[1])
+    assert straddles == {False, True}
+    for k in (1, 3):
+        with pytest.raises(ValueError, match="zero subspace"):
+            filtration_index(basis, np.zeros((k, basis.dim), dtype=np.int64))
+
+
 def test_reduce_charp_pole_beyond_bound_raises():
     from wildprim.errors import InvariantViolation
     t = build_tower(F2T, 1)

@@ -228,6 +228,59 @@ def test_one_filtration_index_per_record(monkeypatch):
     assert len(calls) == len(res.records)
 
 
+def test_class_data_is_derived_once_per_class(monkeypatch):
+    # one closure descriptor per class of dimension n, and no restriction
+    # of the action to an image: restrict_action runs only inside hom_space
+    # and the class construction
+    from wildprim import enumerator
+    closures, outside, depth = [], [], []
+
+    def wrap(fn, log=None):
+        def inner(*args, **kwargs):
+            if log is not None:
+                log.append(1)
+            depth.append(1)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth.pop()
+        return inner
+
+    real_restrict = modrep.restrict_action
+
+    def restrict(*args, **kwargs):
+        if not depth:
+            outside.append(1)
+        return real_restrict(*args, **kwargs)
+    monkeypatch.setattr(enumerator, "closure_descriptor",
+                        wrap(enumerator.closure_descriptor, closures))
+    monkeypatch.setattr(modrep, "hom_space", wrap(modrep.hom_space))
+    monkeypatch.setattr(enumerator, "simple_classes", wrap(enumerator.simple_classes))
+    monkeypatch.setattr(modrep, "restrict_action", restrict)
+    res = enumerate_primitive(Q2, 2)
+    assert len(res.records) == 4
+    assert len(closures) == sum(c.dim == 2 for c in res.classes) == 2
+    assert outside == []
+
+
+@pytest.mark.parametrize("base,n,bound", [
+    (Q2, 2, None), (Q3, 2, None), (BaseField(2, 3, 0), 2, None),
+    (BaseField(2, 2, 2), 2, 5),
+], ids=["Q_2,n=2", "Q_3,n=2", "Q_8,n=2", "F_4((t)),n=2,B=5"])
+def test_closure_is_a_class_invariant(base, n, bound):
+    # the descriptor of each record's own action, restricted from V to its
+    # rows, is the class descriptor the record carries
+    from wildprim.enumerator import closure_descriptor
+    res = enumerate_primitive(base, n, level_bound=bound)
+    tower = res.tower
+    V = [res.matrices[tower.sigma], res.matrices[tower.phi]]
+    assert res.records
+    for r in res.records:
+        action = modrep.restrict_action(V, np.array(r.d_basis, dtype=np.int64), tower.p)
+        assert closure_descriptor(tower, *action, res.omega) == (
+            r.closure_image_order, r.closure_order, r.closure_label)
+
+
 def test_catalog_deterministic_across_seeds():
     a = enumerate_primitive(Q2, 2, seed=0, use_cache=False)
     b = enumerate_primitive(Q2, 2, seed=3, use_cache=False)

@@ -331,15 +331,21 @@ def test_restrict_action_matches_per_column_solve():
         restrict_action(c3_regular_gens(), np.array([[1, 0, 0]], dtype=np.int64), 2)
 
 
-def submodule_rows(gens_V, gens_S, end_degree, p):
-    return [rows for rows, _ in enumerate_simple_submodules(gens_V, gens_S, end_degree, p)]
+def test_a_non_equivariant_hom_map_is_an_invariant_violation(monkeypatch):
+    # a map that is not equivariant is caught once per call, before any image
+    real = modrep.hom_space
+    bad = np.zeros((7, 2), dtype=np.int64)
+    bad[0, 0] = 1  # g_V bad has row 0 = (1, 0), bad P3_PLANE has (0, 2)
+    monkeypatch.setattr(modrep, "hom_space", lambda S, V, p: real(S, V, p) + [bad])
+    with pytest.raises(InvariantViolation, match="not equivariant"):
+        enumerate_simple_submodules(p3_module(), [P3_PLANE], 2, 3)
 
 
-def test_enumerated_action_is_the_restriction():
-    for gens_S, d in (([np.eye(1, dtype=np.int64)], 1), ([P3_PLANE], 2)):
-        for rows, action in enumerate_simple_submodules(p3_module(), gens_S, d, 3):
-            assert all(np.array_equal(a, b) for a, b in
-                       zip(action, restrict_action(p3_module(), rows, 3)))
+def test_a_non_simple_source_is_an_invariant_violation():
+    # the Jordan block alone fixes the line of e1
+    S = [JORDAN, np.eye(2, dtype=np.int64)]
+    with pytest.raises(InvariantViolation, match="not simple"):
+        enumerate_simple_submodules(_block_sum(S, S), S, 1, 3)
 
 
 def test_enumerate_lines_under_trivial_group():
@@ -377,6 +383,11 @@ def test_echelon_routines_match_rref_on_random_input():
             _, project = quotient_action([M], rows, p)
             free = [c for c in range(dim) if c not in pivots]
             assert np.array_equal(project(v), reduced[free])
+            # kernel: null vectors with the identity at the free columns, which
+            # determines each of them
+            K = kernel(rows, p)
+            assert K.shape == (len(free), dim) and not np.any(rows @ K.T % p)
+            assert np.array_equal(K[:, free], np.eye(len(free), dtype=np.int64))
             # minpoly: monic, annihilates M, and no proper divisor does
             mp = minpoly(M, p)
             assert mp[-1] == 1 and not np.any(poly_eval_matrix(mp, M, p))
@@ -389,7 +400,7 @@ def test_enumerate_c3_planes():
     gens = c3_regular_gens()
     classes = chop(gens, 2)
     plane = next(c for c in classes if c.dim == 2)
-    subs = submodule_rows(gens, plane.gens, 2, 2)
+    subs = enumerate_simple_submodules(gens, plane.gens, 2, 2)
     assert len(subs) == 1
     # brute-force comparison over all 2-dimensional subspaces
     brute = brute_simple_submodules(gens, 2, 2)
@@ -416,7 +427,7 @@ def test_enumerate_matches_brute_on_lines():
 
 def test_enumerate_matches_brute_trivial_group():
     gens = [np.eye(3, dtype=np.int64)]
-    subs = submodule_rows(gens, [np.eye(1, dtype=np.int64)], 1, 2)
+    subs = enumerate_simple_submodules(gens, [np.eye(1, dtype=np.int64)], 1, 2)
     brute = brute_simple_submodules(gens, 1, 2)
     assert [tuple(r.ravel()) for r in subs] == [tuple(r.ravel()) for r in brute]
 
@@ -429,7 +440,7 @@ def test_multiplicity_count_formula():
     M = plane.gens[0]
     V = [np.block([[M, np.zeros((2, 2), dtype=np.int64)],
                    [np.zeros((2, 2), dtype=np.int64), M]]) % 2]
-    subs = submodule_rows(V, plane.gens, 2, 2)
+    subs = enumerate_simple_submodules(V, plane.gens, 2, 2)
     assert len(subs) == 5
     brute = brute_simple_submodules(V, 2, 2)
     assert [tuple(r.ravel()) for r in subs] == [tuple(r.ravel()) for r in brute]
@@ -471,7 +482,7 @@ def test_enumerate_matches_brute_at_p3():
     gens = p3_module()
     for gens_S, d, count in (([np.eye(1, dtype=np.int64)], 1, 4), ([P3_PLANE], 2, 10)):
         n = gens_S[0].shape[0]
-        subs = submodule_rows(gens, gens_S, d, p)
+        subs = enumerate_simple_submodules(gens, gens_S, d, p)
         brute = brute_simple_submodules(gens, n, p)
         assert len(subs) == count
         assert [tuple(r.ravel()) for r in subs] == [tuple(r.ravel()) for r in brute]
