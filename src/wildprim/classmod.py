@@ -96,15 +96,18 @@ def kummer_basis(tower: TameTower) -> ClassBasis:
     bl = p * c
     one = RingElt.one(ring)
 
+    # w(x^j) = w(x)^j for the power-basis elements x^j
+    wx = RingElt.teichmuller(ring, F.gen)
+    lifts = [one]
+    for _ in range(F.f - 1):
+        lifts.append(lifts[-1] * wx)
     vectors = [BasisVector("uniformizer-class", 0, 0, RingElt.uniformizer(ring))]
     for i in range(1, bl):
         if i % p == 0:
             continue
         pi_i = RingElt.uniformizer(ring, i)
         for j in range(F.f):
-            a = F.from_code(p ** j)  # power-basis element x^j
-            vectors.append(BasisVector(
-                "unit-level", i, j, one + RingElt.teichmuller(ring, a) * pi_i))
+            vectors.append(BasisVector("unit-level", i, j, one + lifts[j] * pi_i))
 
     # boundary data: the twisted equation x^p + c_res x = a decides solvability
     c_res = RingElt.from_int(ring, p).digit(e)

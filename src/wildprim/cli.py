@@ -5,7 +5,7 @@
     wildprim verify --suite quick|full [--out F]
 
 Exit codes: 0 success, 1 verification failure or usage error, 2 invariant
-violation, 3 precision exhaustion.  --seed is recorded in the catalog
+violation, 3 precision exhaustion.  enumerate --seed is recorded in the catalog
 metadata and changes no computation.
 """
 
@@ -30,8 +30,6 @@ def _add_base_flags(sub):
     sub.add_argument("--char", choices=["0", "p"], required=True,
                      help="base field characteristic")
     sub.add_argument("--n", type=int, required=True, help="degree parameter (p^n)")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="recorded in the catalog metadata; changes no output")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -41,6 +39,8 @@ def make_parser() -> argparse.ArgumentParser:
     enum = subs.add_parser("enumerate",
                            help="enumerate primitive degree-p^n extensions")
     _add_base_flags(enum)
+    enum.add_argument("--seed", type=int, default=0,
+                      help="recorded in the catalog metadata; changes no output")
     enum.add_argument("--level-bound", type=int, default=None,
                       help="pole-order bound (required in char p)")
     enum.add_argument("--precision", type=int, default=None,

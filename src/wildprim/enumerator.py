@@ -17,9 +17,9 @@ class's End degree d (End(S) = F_{p^d}), which the submodule enumeration
 checks its count of Hom maps per image against.  Nothing is random, and
 the degree-n classes are enumerated one after another in the calling
 thread.  The caches are deterministic tables that live in memory only:
-field_create's fields, each field's and each coefficient ring's Frobenius
-powers, TameTower.conjugacy_classes and the class basis's representative
-powers; no enumeration result is cached.
+field_create's fields, the Frobenius table of each field and of each
+valuation ring (RingDesc.frobenius_power), TameTower.conjugacy_classes and
+the class basis's representative powers; no enumeration result is cached.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .classmod import (ClassBasis, artinschreier_basis, filtration_index,
                        galois_matrices, kummer_basis, level_of,
                        omega_character)
 from .errors import InvariantViolation
-from .finitefield import field_create, find_generator
-from .tower import BaseField, TameTower, _mult_order, build_tower
+from .finitefield import field_create, find_generator, mult_order
+from .tower import BaseField, TameTower, build_tower
 
 
 @dataclass
@@ -110,7 +110,7 @@ def simple_classes(tower: TameTower) -> list[SimpleClassInfo]:
     p, e, q = tower.p, tower.e, tower.base.q
     se = tower.s * e
     L = _pprime_part(se, p)
-    r = _mult_order(p, L)
+    r = mult_order(p, L)
     F = field_create(p, r)
     omega = find_generator(F) ** ((F.order - 1) // L)
     zeta = omega ** (L // e)

@@ -20,6 +20,31 @@ import numpy as np
 from . import gfpoly, modrep
 
 
+def reduction_rows(modulus, N: int) -> np.ndarray:
+    """Row k = x^(f+k) mod modulus over Z/N, k = 0..f-2, for a monic modulus
+    of degree f: the rows that fold a product of length 2f-1."""
+    f = len(modulus) - 1
+    base = -np.array(modulus[:f], dtype=np.int64) % N
+    red = np.zeros((max(f - 1, 0), f), dtype=np.int64)
+    cur = base
+    for k in range(f - 1):
+        red[k] = cur
+        cur = (np.concatenate(([0], cur[:-1])) + cur[-1] * base) % N
+    return red
+
+
+def mult_order(a: int, modulus: int) -> int:
+    """The multiplicative order of a modulo modulus (coprime to a)."""
+    if modulus == 1:
+        return 1
+    a %= modulus
+    k, acc = 1, a
+    while acc != 1:
+        acc = acc * a % modulus
+        k += 1
+    return k
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -136,17 +161,7 @@ class FiniteField:
         self.f = f
         self.order = p ** f
         self.modulus = self._least_irreducible(p, f)
-        # reduction rows: x^(f+k) mod modulus, k = 0..f-2
-        self._red = []
-        if f > 1:
-            base = [(-c) % p for c in self.modulus[:f]]
-            cur = list(base)
-            for _ in range(f - 1):
-                self._red.append(tuple(cur))
-                hi = cur[-1]
-                cur = [0] + cur[:-1]
-                if hi:
-                    cur = [(a + hi * b) % p for a, b in zip(cur, base)]
+        self._red = reduction_rows(self.modulus, p).tolist()
         self.zero = FFElt(self, [0] * f)
         self.one = FFElt(self, [1] + [0] * (f - 1))
         self.gen = FFElt(self, ([0, 1] + [0] * (f - 2)) if f > 1 else [0])
@@ -275,9 +290,7 @@ def first_element_of_order(F: FiniteField, e: int) -> FFElt:
     if (F.order - 1) % e:
         raise ValueError(f"no elements of order {e} in F_{F.p}^{F.f}")
     p = F.p
-    j = 1
-    while (p ** j - 1) % e:
-        j += 1
+    j = mult_order(p, e)
     rows = modrep.kernel(F.frobenius_power(j) - np.eye(F.f, dtype=np.int64), p)
     cofactor = (p ** j - 1) // e
     primes = gfpoly._prime_divisors(e)

@@ -1,19 +1,28 @@
 """Truncated exact arithmetic in the valuation ring of a mixed-characteristic
 tame tower field.
 
-Elements live in W(F_q')/p^m [pi] / (pi^e - p), the unramified coefficient
-ring (a nested polynomial ring (Z/p^m)[x]/(h) for a lifted residue modulus
-h) with a ramified layer pi whose e-th power is p.  An element is an
-(e, f') int64 array of coefficient polynomials plus a validity window w:
-the element is known modulo pi^w.  All stored elements are integral
-(valuation >= 0); window bookkeeping is conservative (min of the operand
-windows), which is exact for integral elements.
+Elements live in W(F_q')/p^m [pi] / (pi^e - p).  The unramified
+coefficient ring W(F_q')/p^m = (Z/p^m)[x]/(h), h the lifted residue
+modulus, is row 0 of this ring: a coefficient is an element whose other
+pi-rows are zero, and every coefficient product is a RingElt product.  An
+element is an (e, f') int64 array of coefficient polynomials plus a
+validity window w: the element is known modulo pi^w.  All stored elements
+are integral (valuation >= 0); window bookkeeping is conservative (min of
+the operand windows), which is exact for integral elements.
 A product is one convolution per nonzero pi-row of the sparser operand:
 the denser operand's rows are laid end to end at stride 2f'-1 (row i,
 coefficient u at index i(2f'-1) + u, so row products cannot overlap), and
 its convolution with row j of the sparser operand is added j rows on; the
 2e-1 rows so formed are folded by pi^e = p and reduced modulo h.  Operands
 of the class reduction mostly have one to three nonzero rows.
+
+The Frobenius lift phi sends x to the root r of h with r = x^p mod p.
+Each Hensel step r <- r - h(r) u, u a lift of the residue inverse of
+h'(x^p), gains one p-adic digit, so m steps fix r mod p^m; the columns of
+phi's matrix are the powers r^j (RingDesc.frobenius_power).  The
+Teichmueller lift of a is b^(p^(m-1)) for any lift b of a^(p^-(m-1)):
+lifts that agree mod p agree mod p^m after m - 1 p-th powers (Serre,
+Local Fields, II section 4).
 
 Equal characteristic needs no ring here: a class element there is a finite
 Laurent polynomial in the uniformizer u (u^e = t), held as a plain dict
@@ -33,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvariantViolation, PrecisionExhausted
-from .finitefield import FFElt, FiniteField, field_create
+from .finitefield import FFElt, FiniteField, field_create, frobenius, reduction_rows
 
 
 def default_precision(p: int, e: int) -> int:
@@ -42,136 +51,71 @@ def default_precision(p: int, e: int) -> int:
     return p * e // (p - 1) + e + 8
 
 
-class CoeffRing:
-    """W(F_{p^f})/p^m as (Z/p^m)[x]/(h), h the lifted residue modulus."""
-
-    def __init__(self, residue: FiniteField, m: int):
-        self.residue = residue
-        self.p = residue.p
-        self.f = residue.f
-        self.m = m
-        self.pm = self.p ** m
-        self.ppow = self.p ** np.arange(m, dtype=np.int64)  # p^0 .. p^(m-1)
-        self.h = np.array(residue.modulus, dtype=np.int64)  # degree f, monic
-        # reduction matrix: row k = x^(f+k) mod h, k = 0..f-2 (over Z/p^m)
-        f_ = self.f
-        red = np.zeros((max(f_ - 1, 0), f_), dtype=np.int64)
-        if f_ > 1:
-            base = (-self.h[:f_]) % self.pm
-            cur = base.copy()
-            for k in range(f_ - 1):
-                red[k] = cur
-                hi = cur[-1]
-                cur = np.roll(cur, 1)
-                cur[0] = 0
-                if hi:
-                    cur = (cur + hi * base) % self.pm
-        self._red = red
-
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        wide = np.convolve(a, b)
-        return self.reduce_wide(wide[None, :])[0]
-
-    def reduce_wide(self, wide: np.ndarray) -> np.ndarray:
-        """Reduce rows of length 2f-1 modulo h (and p^m)."""
-        f_ = self.f
-        wide = wide % self.pm
-        return (wide[:, :f_] + wide[:, f_:] @ self._red) % self.pm
-
-    def one(self) -> np.ndarray:
-        out = np.zeros(self.f, dtype=np.int64)
-        out[0] = 1
-        return out
-
-    def lift(self, a: FFElt) -> np.ndarray:
-        return np.array(a.coeffs, dtype=np.int64)
-
-    def residue_of(self, c: np.ndarray) -> FFElt:
-        return FFElt(self.residue, (c % self.p).tolist())
-
-    def pow(self, a: np.ndarray, e: int) -> np.ndarray:
-        out = self.one()
-        base = a % self.pm
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
-    def inv(self, a: np.ndarray) -> np.ndarray:
-        r = self.residue_of(a)
-        if r.is_zero():
-            raise ZeroDivisionError("inverse of a non-unit coefficient")
-        y = self.lift(r.inverse())
-        two = self.one() * 2
-        steps = max(1, (self.m - 1).bit_length() + 1)
-        for _ in range(steps):
-            y = self.mul(y, (two - self.mul(a, y)) % self.pm)
-        return y
-
-    def teichmuller(self, a: FFElt) -> np.ndarray:
-        """The unique lift with z^(p^f) = z and residue a: the fixed point of
-        z -> phi^{-1}(z^p), each step of which gains one p-adic digit."""
-        z = self.lift(a)
-        phi_inv = self.frobenius_power(-1)
-        for _ in range(self.m + 1):
-            z = (phi_inv @ self.pow(z, self.p)) % self.pm
-        return z
-
-    @cached_property
-    def _frob_pows(self) -> list[np.ndarray]:
-        F1 = self.frobenius_matrix()
-        pows = [np.eye(self.f, dtype=np.int64)]
-        for _ in range(self.f - 1):
-            pows.append((F1 @ pows[-1]) % self.pm)
-        return pows
-
-    def frobenius_power(self, k: int) -> np.ndarray:
-        """Matrix of phi^k (k mod f), phi the Frobenius lift."""
-        return self._frob_pows[k % self.f]
-
-    def frobenius_matrix(self) -> np.ndarray:
-        """Matrix (columns = images of x^j) of the p-power Frobenius lift,
-        the ring map sending x to the Hensel root of h congruent to x^p."""
-        f_ = self.f
-        gen = self.residue.gen
-        r = self.lift(gen ** self.p)
-        hp = np.array([(i * int(self.h[i])) % self.pm for i in range(1, f_ + 1)],
-                      dtype=np.int64)
-        for _ in range((self.m - 1).bit_length() + 1):
-            hr = self._poly_at(self.h, r)
-            dr = self._poly_at(hp, r)
-            r = (r - self.mul(hr, self.inv(dr))) % self.pm
-        if np.any(self._poly_at(self.h, r)):
-            raise InvariantViolation("Hensel lift failed")
-        cols = [self.one()]
-        for _ in range(f_ - 1):
-            cols.append(self.mul(cols[-1], r))
-        return np.stack(cols, axis=1)
-
-    def _poly_at(self, poly: np.ndarray, z: np.ndarray) -> np.ndarray:
-        acc = np.zeros(self.f, dtype=np.int64)
-        for c in poly[::-1]:
-            acc = self.mul(acc, z)
-            acc[0] = (acc[0] + int(c)) % self.pm
-        return acc
-
-
 @dataclass(frozen=True)
 class RingDesc:
-    """Descriptor of the valuation ring of one tower field."""
+    """Descriptor of the valuation ring of one tower field, with the data
+    its products and its Frobenius lift derive from it."""
     p: int
     fprime: int          # residue degree over the prime field
     e: int               # ramification index (pi^e = p)
     prec: int            # working uniformizer-adic precision
     m: int               # coefficient precision, powers of p
     residue: FiniteField = field(compare=False)
-    coeff: CoeffRing = field(compare=False)
+    pm: int = field(init=False, compare=False)                       # p^m
+    ppow: np.ndarray = field(init=False, compare=False, repr=False)  # p^0 .. p^(m-1)
+    red: np.ndarray = field(init=False, compare=False, repr=False)   # x^(f'+k) mod h
+
+    def __post_init__(self):
+        # frozen: the derived data is set past the dataclass __setattr__
+        object.__setattr__(self, "pm", self.p ** self.m)
+        object.__setattr__(self, "ppow", self.p ** np.arange(self.m, dtype=np.int64))
+        object.__setattr__(self, "red", reduction_rows(self.residue.modulus, self.pm))
 
     @property
     def full_window(self) -> int:
         return self.m * self.e
+
+    def reduce_wide(self, wide: np.ndarray) -> np.ndarray:
+        """Reduce rows of length 2f'-1 modulo h (and p^m)."""
+        f = self.fprime
+        wide = wide % self.pm
+        return (wide[:, :f] + wide[:, f:] @ self.red) % self.pm
+
+    @cached_property
+    def _frob_pows(self) -> list[np.ndarray]:
+        F1 = self._frobenius_matrix()
+        pows = [np.eye(self.fprime, dtype=np.int64)]
+        for _ in range(self.fprime - 1):
+            pows.append((F1 @ pows[-1]) % self.pm)
+        return pows
+
+    def frobenius_power(self, k: int) -> np.ndarray:
+        """Matrix (columns = images of x^j) of phi^k (k mod f'), phi the
+        Frobenius lift on the coefficients."""
+        return self._frob_pows[k % self.fprime]
+
+    def _frobenius_matrix(self) -> np.ndarray:
+        F, h = self.residue, self.residue.modulus
+        y = F.gen ** self.p
+        dh = F.zero  # h'(y) by Horner
+        for i in range(self.fprime, 0, -1):
+            dh = dh * y + F.from_int(i * h[i])
+        u = RingElt.monomial(self, 0, dh.inverse())
+        r = RingElt.monomial(self, 0, y)
+        for _ in range(self.m):
+            r = r - self._poly_at(h, r) * u
+        if np.any(self._poly_at(h, r).data):
+            raise InvariantViolation("Hensel lift failed")
+        cols = [RingElt.one(self)]
+        for _ in range(self.fprime - 1):
+            cols.append(cols[-1] * r)
+        return np.stack([c.data[0] for c in cols], axis=1)
+
+    def _poly_at(self, poly, z: "RingElt") -> "RingElt":
+        acc = RingElt.zero(self)
+        for c in reversed(poly):
+            acc = acc * z + RingElt.from_int(self, c)
+        return acc
 
 
 def ring_create(p: int, fprime: int, e: int, prec: int | None = None) -> RingDesc:
@@ -188,7 +132,7 @@ def ring_create(p: int, fprime: int, e: int, prec: int | None = None) -> RingDes
         raise ValueError(
             f"coefficients modulo {p}^{m} at ramification {e} and residue "
             f"degree {fprime} overflow int64 arithmetic")
-    return RingDesc(p, fprime, e, prec, m, residue, CoeffRing(residue, m))
+    return RingDesc(p, fprime, e, prec, m, residue)
 
 
 class RingElt:
@@ -198,7 +142,7 @@ class RingElt:
 
     def __init__(self, ring: RingDesc, data, window=None):
         self.ring = ring
-        self.data = np.asarray(data, dtype=np.int64) % ring.coeff.pm
+        self.data = np.asarray(data, dtype=np.int64) % ring.pm
         self.window = ring.full_window if window is None else min(window, ring.full_window)
 
     # ---- constructors ----
@@ -222,21 +166,20 @@ class RingElt:
             raise ValueError("the valuation ring has no negative uniformizer powers")
         q, r = divmod(power, ring.e)
         data = np.zeros((ring.e, ring.fprime), dtype=np.int64)
-        data[r] = pow(ring.p, q, ring.coeff.pm) * ring.coeff.lift(a) % ring.coeff.pm
+        data[r] = pow(ring.p, q, ring.pm) * np.array(a.coeffs, dtype=np.int64) % ring.pm
         return RingElt(ring, data)
 
     @staticmethod
     def from_int(ring: RingDesc, n: int) -> "RingElt":
         data = np.zeros((ring.e, ring.fprime), dtype=np.int64)
-        data[0, 0] = n % ring.coeff.pm
+        data[0, 0] = n % ring.pm
         return RingElt(ring, data)
 
     @staticmethod
     def teichmuller(ring: RingDesc, a: FFElt) -> "RingElt":
-        """Multiplicative lift of a residue element."""
-        data = np.zeros((ring.e, ring.fprime), dtype=np.int64)
-        data[0] = ring.coeff.teichmuller(a)
-        return RingElt(ring, data)
+        """Multiplicative lift of a residue element: a lift of
+        a^(p^-(m-1)) to the power p^(m-1)."""
+        return RingElt.monomial(ring, 0, frobenius(a, 1 - ring.m)) ** ring.p ** (ring.m - 1)
 
     # ---- arithmetic ----
 
@@ -268,9 +211,9 @@ class RingElt:
         wide = np.zeros((2 * e - 1) * stride, dtype=np.int64)
         for j in rows:
             wide[j * stride:(j + e) * stride] += np.convolve(laid, sparse.data[j])[:e * stride]
-        wide = wide.reshape(2 * e - 1, stride) % ring.coeff.pm
+        wide = wide.reshape(2 * e - 1, stride) % ring.pm
         wide[:e - 1] += ring.p * wide[e:]
-        return RingElt(ring, ring.coeff.reduce_wide(wide[:e]),
+        return RingElt(ring, ring.reduce_wide(wide[:e]),
                        min(self.window, other.window))
 
     def __pow__(self, k: int) -> "RingElt":
@@ -306,7 +249,7 @@ class RingElt:
             return None
         # v_p of a nonzero row (entries below p^m) = #{1 <= k < m : p^k
         # divides every entry}
-        divides = self.data[rows, None, :] % ring.coeff.ppow[1:, None] == 0
+        divides = self.data[rows, None, :] % ring.ppow[1:, None] == 0
         vp = np.all(divides, axis=2).sum(axis=1)
         return int((rows + ring.e * vp).min())
 
@@ -339,22 +282,22 @@ class RingElt:
                 continue
             q, r = divmod(i - k, e)
             if q >= 0:
-                out[r] = (out[r] + row * ring.p ** q) % ring.coeff.pm
+                out[r] = (out[r] + row * ring.p ** q) % ring.pm
             else:
                 div = ring.p ** (-q)
                 if np.any(row % div):
                     raise ValueError(f"valuation below {k}: division is not exact")
-                out[r] = (out[r] + row // div) % ring.coeff.pm
+                out[r] = (out[r] + row // div) % ring.pm
         return RingElt(ring, out, self.window - k)
 
     def residue(self) -> FFElt:
-        return self.ring.coeff.residue_of(self.data[0])
+        return self.digit(0)
 
     def digit(self, k: int) -> FFElt:
         """The residue of self / pi^k, for k at most the valuation: row
         k mod e divided by p^(k // e)."""
         ring = self.ring
-        return ring.coeff.residue_of(self.data[k % ring.e] // ring.p ** (k // ring.e))
+        return FFElt(ring.residue, (self.data[k % ring.e] // ring.p ** (k // ring.e)).tolist())
 
     def __repr__(self):
         return f"RingElt(window={self.window})"

@@ -26,7 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .finitefield import FFElt, field_create, first_element_of_order, frobenius
+from .finitefield import (FFElt, field_create, first_element_of_order, frobenius,
+                          mult_order)
 from .localring import RingElt, default_precision, ring_create
 
 
@@ -52,17 +53,6 @@ class BaseField:
         return {"p": self.p, "f": self.f, "char": "0" if self.char == 0 else "p"}
 
 
-def _mult_order(a: int, modulus: int) -> int:
-    if modulus == 1:
-        return 1
-    a %= modulus
-    k, acc = 1, a
-    while acc != 1:
-        acc = acc * a % modulus
-        k += 1
-    return k
-
-
 GroupElt = tuple[int, int]  # (inertia exponent a mod e, Frobenius exponent b mod s*e)
 Laurent = dict[int, FFElt]  # a char p element: {exponent of u: nonzero coefficient}
 MAX_RESIDUE_DEGREE = 64  # largest residue degree f' of a tower top
@@ -78,7 +68,7 @@ class TameTower:
         self.n = n
         self.p = base.p
         self.e = base.p ** n - 1
-        self.s = _mult_order(base.q, self.e) if self.e > 1 else 1
+        self.s = mult_order(base.q, self.e) if self.e > 1 else 1
         self.fprime = base.f * self.s * self.e
         if self.fprime > MAX_RESIDUE_DEGREE:
             raise ValueError(
@@ -95,9 +85,17 @@ class TameTower:
         # Laurent dicts
         self.ring = None
         if base.char == 0:
-            self.ring = ring_create(base.p, self.fprime, self.e, self.prec)
-            co = self.ring.coeff
-            self._zeta_pows = [co.teichmuller(self.zeta ** i) for i in range(self.e)]
+            ring = self.ring = ring_create(base.p, self.fprime, self.e, self.prec)
+            # multiplication matrices of w(zeta)^k, k = 0..e-1, as powers of
+            # the matrix of w(zeta) (columns = w(zeta) x^j)
+            wz = RingElt.teichmuller(ring, self.zeta)
+            cols = [wz * RingElt.monomial(ring, 0, self.residue.from_code(self.p ** j))
+                    for j in range(self.fprime)]
+            step = np.stack([c.data[0] for c in cols], axis=1)
+            mats = [np.eye(self.fprime, dtype=np.int64)]
+            for _ in range(self.e - 1):
+                mats.append(step @ mats[-1] % ring.pm)
+            self._zeta_mats = np.stack(mats)
 
     # ---- group structure ----
 
@@ -155,16 +153,15 @@ class TameTower:
             return out
         if x.ring != self.ring:
             raise ValueError("element does not live in this tower's ring")
-        co = self.ring.coeff
+        ring = self.ring
         data = x.data
         if b:
-            data = (data @ co.frobenius_power(self.base.f * b).T) % co.pm
-        if a and self.e > 1:
-            out = np.empty_like(data)
-            for i in range(self.e):
-                out[i] = co.mul(data[i], self._zeta_pows[(a * i) % self.e])
-            data = out
-        return RingElt(self.ring, data, x.window)
+            data = (data @ ring.frobenius_power(self.base.f * b).T) % ring.pm
+        if a:
+            # row i times w(zeta)^(ai), all rows in one batched product
+            zeta_mats = self._zeta_mats[a * np.arange(self.e) % self.e]
+            data = np.matmul(zeta_mats, data[:, :, None])[:, :, 0]
+        return RingElt(ring, data, x.window)
 
     def describe(self) -> dict:
         return {

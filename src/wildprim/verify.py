@@ -114,19 +114,17 @@ def quadratic_record_representative(result: EnumerationResult, record) -> int:
     return rep
 
 
-def mass_check(base: BaseField, p: int | None = None, *,
-               level_bound: int | None = None, seed: int = 0,
+def mass_check(base: BaseField, *, level_bound: int | None = None, seed: int = 0,
                use_cache: bool = False) -> Fraction:
-    """Serre's totally ramified mass sum at degree p, as an exact rational.
+    """Serre's totally ramified mass sum at degree p = base.p, as an exact
+    rational.
 
     Sums (p/|Aut|) q^{-(d - (p-1))} over the ramified degree-p records,
     with |Aut| = p exactly for the cyclic records (closure order p).  In
     char 0 the value is exactly p; in char p only the partial sum over the
     materialized levels is returned.  use_cache is accepted and ignored.
     """
-    p = p if p is not None else base.p
-    if p != base.p:
-        raise ValueError("the mass formula is evaluated at the residue characteristic")
+    p = base.p
     result = enumerate_primitive(base, 1, level_bound=level_bound, seed=seed)
     q = base.q
     total = Fraction(0)
@@ -239,12 +237,15 @@ def _tag(result: EnumerationResult | TameTower) -> str:
 def duality_checks(result: EnumerationResult) -> VerificationReport:
     """The twisted dual of each parameter's action must again be a simple
     module of the tower group, isomorphic to one of the known classes; for
-    p = 2 the twist is literally the inverse-transpose."""
+    p = 2 the twist is literally the inverse-transpose.  Isomorphic modules
+    share the characteristic polynomials of sigma and phi, so Hom is only
+    computed for the classes whose polynomials match the dual's."""
     report = VerificationReport()
     tower = result.tower
     p = tower.p
     V = [result.matrices[tower.sigma], result.matrices[tower.phi]]
-    classes_n = [c for c in result.classes if c.dim == result.n]
+    classes_n = [(c, [modrep.charpoly(g, p) for g in c.gens()])
+                 for c in result.classes if c.dim == result.n]
     for k, record in enumerate(result.records):
         rows = np.array(record.d_basis, dtype=np.int64)
         rho_s, rho_p = modrep.restrict_action(V, rows, p)
@@ -256,8 +257,9 @@ def duality_checks(result: EnumerationResult) -> VerificationReport:
         conj = modrep.mm(modrep.mm(tw_p, tw_s, p), modrep.inv_mat(tw_p, p), p)
         ok_rel = np.array_equal(conj, modrep._mat_pow(tw_s, q, p))
         ok_simple = modrep.certify_simple([tw_s, tw_p], p)
-        matches = [c.identifier for c in classes_n
-                   if modrep.hom_space([tw_s, tw_p], c.gens(), p)]
+        polys = [modrep.charpoly(g, p) for g in (tw_s, tw_p)]
+        matches = [c.identifier for c, cps in classes_n
+                   if cps == polys and modrep.hom_space([tw_s, tw_p], c.gens(), p)]
         ok_iso = len(matches) == 1
         report.add_bool(
             f"duality[{_tag(result)}:#{k}:{record.rep_id}]",

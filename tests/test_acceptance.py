@@ -135,7 +135,7 @@ def test_charp_finiteness_and_counts():
 
 def _random_unit(tower, rng):
     ring = tower.ring
-    data = np.array([[rng.randrange(ring.coeff.pm) for _ in range(ring.fprime)]
+    data = np.array([[rng.randrange(ring.pm) for _ in range(ring.fprime)]
                      for _ in range(ring.e)])
     x = RingElt(ring, data)
     if x.residue().is_zero():

@@ -92,7 +92,7 @@ def test_reduce_basis_reps_give_unit_vectors(q2n2):
 
 def rand_unit(tower, rng):
     ring = tower.ring
-    data = np.array([[rng.randrange(ring.coeff.pm) for _ in range(ring.fprime)]
+    data = np.array([[rng.randrange(ring.pm) for _ in range(ring.fprime)]
                      for _ in range(ring.e)])
     x = RingElt(ring, data)
     if x.residue().is_zero():

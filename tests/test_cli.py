@@ -83,6 +83,10 @@ def test_reps_output(tmp_path, monkeypatch, capsys):
     text = capsys.readouterr().out
     assert "simple classes of dimension 2: 2" in text
     assert "2d-0" in text and "2d-1" in text
+    # reps reads no seed, so it takes none
+    with pytest.raises(SystemExit):
+        run(["reps", "--p", "2", "--f", "1", "--char", "0", "--n", "2", "--seed", "1"],
+            tmp_path, monkeypatch)
 
 
 def test_reps_n1(tmp_path, monkeypatch, capsys):

@@ -5,11 +5,12 @@ import pytest
 
 from ringref import agrees_with, is_zero_to_window, leading
 from wildprim.errors import PrecisionExhausted
+from wildprim.finitefield import FFElt
 from wildprim.localring import RingElt, default_precision, ring_create
 
 
 def rand_unit(ring, rng):
-    data = np.array([[rng.randrange(ring.coeff.pm) for _ in range(ring.fprime)]
+    data = np.array([[rng.randrange(ring.pm) for _ in range(ring.fprime)]
                      for _ in range(ring.e)])
     data[0, 0] |= 1 if ring.p == 2 else 0
     x = RingElt(ring, data)
@@ -177,28 +178,38 @@ def test_precision_monotonicity():
             assert int(a1.data[i, j]) % mod == int(a2.data[i, j]) % mod
 
 
+def _coeff(ring, c):
+    """The coefficient c as a ring element: row 0, other pi-rows zero."""
+    data = np.zeros((ring.e, ring.fprime), dtype=np.int64)
+    data[0] = c
+    return RingElt(ring, data)
+
+
 def test_frobenius_matrix_is_ring_hom():
     ring = ring_create(2, 6, 3)
-    co = ring.coeff
-    Fm = co.frobenius_matrix()
+    Fm = ring.frobenius_power(1)
     rng = random.Random(3)
+
+    def rand_coeff():
+        return np.array([rng.randrange(ring.pm) for _ in range(ring.fprime)], dtype=np.int64)
+
     for _ in range(20):
-        a = np.array([rng.randrange(co.pm) for _ in range(co.f)], dtype=np.int64)
-        b = np.array([rng.randrange(co.pm) for _ in range(co.f)], dtype=np.int64)
-        fa, fb = (Fm @ a) % co.pm, (Fm @ b) % co.pm
-        assert not np.any(((Fm @ co.mul(a, b)) % co.pm - co.mul(fa, fb)) % co.pm)
+        a, b = rand_coeff(), rand_coeff()
+        fa, fb = (Fm @ a) % ring.pm, (Fm @ b) % ring.pm
+        ab = (_coeff(ring, a) * _coeff(ring, b)).data[0]
+        assert np.array_equal((Fm @ ab) % ring.pm, (_coeff(ring, fa) * _coeff(ring, fb)).data[0])
     # reduces to p-power Frobenius on the residue field
     for _ in range(10):
-        a = np.array([rng.randrange(co.pm) for _ in range(co.f)], dtype=np.int64)
-        fa = (Fm @ a) % co.pm
-        assert co.residue_of(fa) == co.residue_of(a) ** 2
+        a = rand_coeff()
+        fa = (Fm @ a) % ring.pm
+        assert _coeff(ring, fa).residue() == _coeff(ring, a).residue() ** 2
 
 
 def _reference_mul(ring, a, b):
     """Product of two char-0 elements with Python integers: convolve in pi
     and x, fold pi^e = p, reduce modulo the lifted residue modulus and p^m."""
-    e, f, pm = ring.e, ring.fprime, ring.coeff.pm
-    h = [int(c) for c in ring.coeff.h]
+    e, f, pm = ring.e, ring.fprime, ring.pm
+    h = ring.residue.modulus
     wide = [[0] * (2 * f - 1) for _ in range(2 * e - 1)]
     for i in range(e):
         for j in range(e):
@@ -235,7 +246,7 @@ def test_mul_matches_python_int_reference(p, fprime, e):
     def operand(nrows):
         data = np.zeros((e, fprime), dtype=np.int64)
         for i in rng.sample(range(e), min(nrows, e)):
-            data[i] = [rng.randrange(ring.coeff.pm) for _ in range(fprime)]
+            data[i] = [rng.randrange(ring.pm) for _ in range(fprime)]
         return data
 
     for _ in range(2):
@@ -265,14 +276,30 @@ def test_ring_refuses_int64_overflow():
                                         (3, 32, 8), (2, 9, 1), (3, 1, 2)])
 def test_teichmuller_matches_power_iteration(p, fprime, e):
     # the defining iteration z -> z^(p^f'), m + 1 times from the plain lift
-    co = ring_create(p, fprime, e).coeff
-    F = co.residue
+    ring = ring_create(p, fprime, e)
+    F = ring.residue
     rng = random.Random(fprime)
     for a in [F.one, F.gen] + [F.from_code(rng.randrange(F.order)) for _ in range(3)]:
-        z = co.lift(a)
-        for _ in range(co.m + 1):
-            z = co.pow(z, p ** fprime)
-        assert np.array_equal(co.teichmuller(a), z)
+        z = RingElt.monomial(ring, 0, a)
+        for _ in range(ring.m + 1):
+            z = z ** (p ** fprime)
+        assert np.array_equal(RingElt.teichmuller(ring, a).data, z.data)
+
+
+@pytest.mark.parametrize("p,fprime,e", RING_SHAPES)
+def test_frobenius_lift_is_the_hensel_root(p, fprime, e):
+    # h has one root mod p^m congruent to x^p mod p, so these two facts
+    # determine phi(x); h is evaluated with the Python-int product
+    ring = ring_create(p, fprime, e)
+    F = ring.residue
+    phi_x = (ring.frobenius_power(1) @ np.array(F.gen.coeffs, dtype=np.int64)) % ring.pm
+    r = _coeff(ring, phi_x).data
+    acc = np.zeros_like(r)
+    for c in reversed(F.modulus):
+        acc = _reference_mul(ring, acc, r)
+        acc[0, 0] = (acc[0, 0] + c) % ring.pm
+    assert not np.any(acc)
+    assert FFElt(F, phi_x) == F.gen ** p
 
 
 def test_pow_matches_repeated_products(mixed_ring):
@@ -308,7 +335,7 @@ def _reference_stored_val(x):
                                         (2, 3, 1), (3, 1, 1), (7, 2, 6)])
 def test_stored_val_matches_row_loop(p, fprime, e):
     ring = ring_create(p, fprime, e)
-    pm, m = ring.coeff.pm, ring.m
+    pm, m = ring.pm, ring.m
     rng = random.Random(p * 100 + fprime * 10 + e)
     samples = [RingElt.zero(ring), RingElt.one(ring),
                RingElt.from_int(ring, p ** (m - 1))]

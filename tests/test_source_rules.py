@@ -49,3 +49,25 @@ def test_every_benchmark_probe_target_resolves():
         if owner is None or not callable(vars(owner).get(name)):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def test_no_unused_imports():
+    # every name a module imports is used in it; the package __init__
+    # imports to re-export, and __future__ imports are directives
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}:{name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []

@@ -73,7 +73,7 @@ def rand_elt(tower, rng):
     in char p."""
     if tower.base.char == 0:
         ring = tower.ring
-        data = np.array([[rng.randrange(ring.coeff.pm) for _ in range(ring.fprime)]
+        data = np.array([[rng.randrange(ring.pm) for _ in range(ring.fprime)]
                          for _ in range(ring.e)])
         return RingElt(ring, data)
     return random_laurent(tower.residue, rng, -3, 4)
@@ -124,6 +124,23 @@ def test_sigma_moves_uniformizer_by_zeta():
     # the uniformizer relation is preserved
     cube = img * img * img
     assert agrees_with(cube, RingElt.from_int(t.ring, 2))
+
+
+@pytest.mark.parametrize("base,n", [(Q2, 3), (BaseField(3, 1, 0), 2), (BaseField(7, 2, 0), 1)])
+def test_sigma_power_multiplies_row_i_by_a_zeta_power(base, n):
+    # sigma^a sends pi^i to (w(zeta)^a pi)^i: row i of the coefficient array
+    # is multiplied by w(zeta)^(ai)
+    t = build_tower(base, n)
+    ring = t.ring
+    wz = RingElt.teichmuller(ring, t.zeta)
+    rng = random.Random(t.e)
+    x = rand_elt(t, rng)
+    for a in (1, 2, t.e - 1):
+        y = t.apply((a, 0), x)
+        for i in range(t.e):
+            row = np.zeros_like(x.data)
+            row[0] = x.data[i]
+            assert np.array_equal(y.data[i], (wz ** (a * i) * RingElt(ring, row)).data[0])
 
 
 def test_presentation_on_uniformizer():

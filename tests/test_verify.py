@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,8 @@ def test_record_representatives_are_the_seven_classes():
 
 def test_mass_q2_exact():
     assert mass_check(Q2) == Fraction(2)
+    with pytest.raises(TypeError):  # the degree is always the base's p
+        mass_check(Q2, 2)
 
 
 def test_mass_q4_exact():
@@ -110,6 +113,23 @@ def test_duality_for_quartics():
     report = duality_checks(res)
     assert report.passed, report.render()
     assert len(report.checks) == 4
+
+
+@pytest.mark.parametrize("base,n", [(Q2, 2), (Q3, 1)])
+def test_duality_needs_exactly_one_matching_class(base, n):
+    # each record's twisted dual matches one class of dimension n: without
+    # that class, or with it listed twice, exactly its records fail
+    res = enumerate_primitive(base, n)
+    names = [c.name for c in duality_checks(res).checks]
+    matched = []
+    for cls in (c for c in res.classes if c.dim == n):
+        failed = []
+        for classes in ([c for c in res.classes if c is not cls], res.classes + [cls]):
+            report = duality_checks(dataclasses.replace(res, classes=classes))
+            failed.append([c.name for c in report.checks if not c.passed])
+        assert failed[0] and failed[0] == failed[1]
+        matched += failed[0]
+    assert sorted(matched) == sorted(names)
 
 
 def test_precision_stability_quartics():
