@@ -24,7 +24,7 @@ the class basis's representative powers; no enumeration result is cached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from math import gcd
 
 import numpy as np
@@ -208,21 +208,11 @@ class ExtensionRecord:
     tres_ramifiee: bool
 
     def to_dict(self) -> dict:
-        return {
-            "base": self.base, "n": self.n, "degree": self.degree,
-            "rep_id": self.rep_id, "end_degree": self.end_degree,
-            "d_basis": self.d_basis,
-            "filtration_index": self.filtration_index,
-            "level": self.level, "excess": self.excess,
-            "different_exponent": self.different_exponent,
-            "discriminant_exponent": self.discriminant_exponent,
-            "ram_index": self.ram_index,
-            "closure_image_order": self.closure_image_order,
-            "closure_order": self.closure_order,
-            "closure_label": self.closure_label,
-            "unramified": self.unramified,
-            "tres_ramifiee": self.tres_ramifiee,
-        }
+        """The record's fields in declaration order (a shallow copy)."""
+        return {name: getattr(self, name) for name in RECORD_FIELDS}
+
+
+RECORD_FIELDS = tuple(f.name for f in fields(ExtensionRecord))
 
 
 @dataclass
@@ -235,7 +225,7 @@ class EnumerationResult:
     matrices: dict
     classes: list[SimpleClassInfo]
     omega: dict
-    options: dict = field(default_factory=dict)
+    seed: int = 0
 
 
 def _matrix_group_order(gens: list[np.ndarray], p: int, cap: int = 10 ** 6) -> int:
@@ -337,13 +327,11 @@ def enumerate_primitive(base: BaseField, n: int, *, level_bound: int | None = No
 
     Char p requires level_bound (only finitely many records have bounded
     differental exponent; the module is materialized up to that bound).
-    seed is only recorded in the options (and so in the catalog metadata);
+    seed is only recorded on the result (and so in the catalog metadata);
     use_cache is accepted and ignored, as no enumeration result is cached.
     """
     if base.char != 0 and level_bound is None:
         raise ValueError("equal characteristic requires a level bound")
-    if base.char == 0:
-        level_bound = None  # meaningless there; keep it out of the metadata
     tower = build_tower(base, n, precision)
     if base.char == 0:
         basis = kummer_basis(tower)
@@ -364,9 +352,7 @@ def enumerate_primitive(base: BaseField, n: int, *, level_bound: int | None = No
                                 tuple(x for row in r.d_basis for x in row)))
     return EnumerationResult(
         base=base, n=n, records=records, tower=tower, basis=basis,
-        matrices=matrices, classes=classes, omega=omega,
-        options={"seed": seed, "precision": tower.prec,
-                 "level_bound": level_bound})
+        matrices=matrices, classes=classes, omega=omega, seed=seed)
 
 
 def list_representations(base: BaseField, n: int) -> list[SimpleClassInfo]:

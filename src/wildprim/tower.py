@@ -78,6 +78,8 @@ class TameTower:
         self.zeta = (self.residue.one if self.e == 1
                      else first_element_of_order(self.residue, self.e))
         self.prec = default_precision(base.p, self.e) if precision is None else precision
+        if self.prec < 1:
+            raise ValueError("the working precision must be at least 1")
         self.group_order = self.s * self.e * self.e
         self.sigma: GroupElt = (1 % self.e, 0)
         self.phi: GroupElt = (0, 1 % (self.s * self.e))

@@ -307,20 +307,18 @@ def precision_stability_check(result: EnumerationResult) -> VerificationReport:
                         "exact pipeline (char p)")
         return report
     bigger = enumerate_primitive(
-        base, n, precision=result.options["precision"] + result.tower.e,
-        seed=result.options["seed"])
+        base, n, precision=result.tower.prec + result.tower.e, seed=result.seed)
     same = [r.to_dict() for r in result.records] == [r.to_dict() for r in bigger.records]
     report.add_bool(f"precision-stability[{_tag(result)}]", same)
     return report
 
 
-def cross_checks(result: EnumerationResult, *, brute: bool = True,
+def cross_checks(result: EnumerationResult, *,
                  precision: bool = True) -> VerificationReport:
     report = VerificationReport()
     report.extend(duality_checks(result))
     report.extend(divisibility_checks(result))
-    if brute:
-        report.extend(brute_oracle_check(result))
+    report.extend(brute_oracle_check(result))
     if precision:
         report.extend(precision_stability_check(result))
     return report

@@ -205,7 +205,7 @@ def test_property_divisibility_duality_brute():
 
 def test_property_identical_catalogs_precision():
     res = enum(Q2, 2)
-    bumped = enumerate_primitive(Q2, 2, precision=res.options["precision"] + res.tower.e,
+    bumped = enumerate_primitive(Q2, 2, precision=res.tower.prec + res.tower.e,
                                  use_cache=False)
     rec = lambda r: json.dumps([x.to_dict() for x in r.records])
     assert rec(res) == rec(bumped)

@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from wildprim import enumerator, serialize
+from wildprim import enumerator
 from wildprim.cli import main
 from wildprim.errors import InvariantViolation, PrecisionExhausted
 
@@ -65,15 +66,25 @@ def test_no_cache_is_read_or_written(tmp_path, monkeypatch, capsys):
     assert list(cache.iterdir()) == [stale]
 
 
-def test_csv_json_round_trip(tmp_path, monkeypatch):
-    jout, cout = tmp_path / "cat.json", tmp_path / "cat.csv"
-    base_args = ["enumerate", "--p", "2", "--f", "1", "--char", "0", "--n", "2"]
-    assert run(base_args + ["--out", str(jout)], tmp_path, monkeypatch) == 0
-    assert run(base_args + ["--format", "csv", "--out", str(cout)],
+# full sha256 of `enumerate --format csv` (seed 0), recorded from output whose
+# rows parse back to exactly the records of the matching JSON catalog
+CSV_DIGESTS = [
+    (["--p", "2", "--f", "1", "--char", "0", "--n", "2"],
+     "e1d5151e0e41016f53a4e4857c40095d64a7be7b4eb4345ed52cd173b9a20c6d"),
+    (["--p", "2", "--f", "1", "--char", "p", "--n", "2", "--level-bound", "5"],
+     "45ee188e1017239dcdc7e954ac44034ff16a93ea2c0ce1d01577c098bee66196"),
+    (["--p", "7", "--f", "2", "--char", "0", "--n", "1"],
+     "9d76b1433026cd8091ed8109eba44bd5bb7fd90d7efcf4d5c763ca5891f9fa71"),
+]
+
+
+@pytest.mark.parametrize("args,digest", CSV_DIGESTS,
+                         ids=["Q_2,n=2", "F_2((t)),n=2,B=5", "Q_49,n=1"])
+def test_csv_bytes_are_pinned(args, digest, tmp_path, monkeypatch):
+    out = tmp_path / "cat.csv"
+    assert run(["enumerate"] + args + ["--format", "csv", "--out", str(out)],
                tmp_path, monkeypatch) == 0
-    from_json = serialize.records_from_json(jout.read_bytes())
-    from_csv = serialize.records_from_csv(cout.read_text())
-    assert from_json == from_csv
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_reps_output(tmp_path, monkeypatch, capsys):
@@ -133,6 +144,17 @@ def test_missing_level_bound_is_a_usage_error(tmp_path, monkeypatch, capsys):
                tmp_path, monkeypatch)
     assert code == 1
     assert "level bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("precision,char_args", [
+    ("-5", ["--char", "0"]), ("-5", ["--char", "p", "--level-bound", "2"]),
+    ("0", ["--char", "0"])], ids=["char0", "charp", "char0-zero"])
+def test_precision_below_one_is_a_usage_error(precision, char_args, tmp_path,
+                                              monkeypatch, capsys):
+    code = run(["enumerate", "--p", "2", "--f", "1", "--n", "1", "--precision", precision]
+               + char_args, tmp_path, monkeypatch)
+    assert code == 1
+    assert "precision" in capsys.readouterr().err
 
 
 def test_verify_quick_suite(tmp_path, monkeypatch, capsys):

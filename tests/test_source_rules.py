@@ -2,9 +2,13 @@
 
 import ast
 import importlib
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import wildprim
+from wildprim.enumerator import ExtensionRecord
+from wildprim.serialize import CSV_COLUMNS
 
 PACKAGE = Path(wildprim.__file__).parent
 
@@ -71,3 +75,15 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line}:{name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_readme_record_table_is_the_record_schema():
+    # the README's frozen field table lists ExtensionRecord's fields in
+    # order, and CSV flattens `base` into the leading columns p, f, char
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("Record fields (frozen)", 1)[1].split("\n\n")[1]
+    rows = [line.split("|")[1] for line in table.splitlines()[2:]]
+    documented = [name for row in rows for name in re.findall(r"`([^`]+)`", row)]
+    schema = [f.name for f in fields(ExtensionRecord)]
+    assert documented == schema
+    assert CSV_COLUMNS == ["p", "f", "char"] + [n for n in schema if n != "base"]
