@@ -18,14 +18,17 @@ order 1 <= i <= B prime to p.  Elements here are finite Laurent
 polynomials, plain dicts {exponent: nonzero coefficient} ({0: c_0},
 {-i: a_j}); reduction reads them one coefficient at a time.
 
-reduce_class expresses an arbitrary element in this basis by peeling
-leading filtration coefficients; every step strictly increases the level,
-so it terminates within the precision window.  The recorded coordinates
-are exact: in char 0 each strip multiplies by basis representatives to
-the power p - c or by a p-th power, so the class moves by exactly the
-recorded coordinates and nothing is inverted; in char p each strip
-subtracts the actual basis representatives.  Each power rep^(p - c) is
-computed once per basis, when a reduction first asks for it.
+reduce_class expresses an element, or a stack of elements, in this basis
+by peeling filtration coefficients level by level.  The recorded
+coordinates are exact: in char 0 each strip multiplies by basis
+representatives to the power p - c or by a p-th power, so the class moves
+by exactly the recorded coordinates and nothing is inverted; in char p
+each strip subtracts the actual basis representatives.  In char 0 a stack
+walks the levels 1..p*e/(p-1) in lockstep: at a unit level every element
+with coordinate c at (level, j) takes one stacked product with rep^(p - c),
+computed once per basis when first needed; the p-divisible and boundary
+strips are element-specific.  A final certificate checks that every u - 1
+has valuation above the boundary level, so no digit was skipped.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modrep
-from .errors import InvariantViolation
+from .errors import InvariantViolation, PrecisionExhausted
 from .finitefield import FFElt, abs_trace, pth_root
 from .localring import RingElt
 from .tower import GroupElt, Laurent, TameTower
@@ -160,66 +163,85 @@ def artinschreier_basis(tower: TameTower, level_bound: int) -> ClassBasis:
                       aux={"constant": c0, "boundary_level": 0})
 
 
-def reduce_class(basis: ClassBasis, x: RingElt | Laurent) -> np.ndarray:
-    """Coordinates of the class of x in the filtration-adapted basis."""
+def reduce_class(basis: ClassBasis, x) -> np.ndarray:
+    """Coordinates of the class of x in the filtration-adapted basis; x may
+    also be a sequence of elements, reduced together, one row each."""
+    single = isinstance(x, (RingElt, dict))
+    xs = [x] if single else list(x)
     if basis.char == 0:
-        return _reduce_kummer(basis, x)
-    return _reduce_artinschreier(basis, x)
+        coords = _reduce_kummer(basis, xs)
+    else:
+        coords = np.array([_reduce_artinschreier(basis, y) for y in xs],
+                          dtype=np.int64).reshape(len(xs), basis.dim)
+    return coords[0] if single else coords
 
 
-def _reduce_kummer(basis: ClassBasis, x: RingElt) -> np.ndarray:
+def _reduce_kummer(basis: ClassBasis, xs: list[RingElt]) -> np.ndarray:
     # Classes live in K*/K*^p, so every strip multiplies by a p-th power or
     # by basis representatives to the power p - c (= rep^(-c) mod p-th powers).
+    # A strip at level lv is 1 mod pi^lv and kills the level-lv digit, so the
+    # units walk the levels 1..bl in lockstep, as one stack.
     tower = basis.tower
-    ring = tower.ring
-    p = tower.p
-    F = tower.residue
-    bl = basis.boundary_level
-    c = basis.c_index
-    b0 = basis.aux["b0"]
-    as_matrix = basis.aux["as_matrix"]
-    functional = basis.aux["functional"]
+    ring, p, F = tower.ring, tower.p, tower.residue
+    e, bl = ring.e, basis.boundary_level
     one = RingElt.one(ring)
-    coords = np.zeros(basis.dim, dtype=np.int64)
+    coords = np.zeros((len(xs), basis.dim), dtype=np.int64)
+    U = np.zeros((len(xs), e, F.f), dtype=np.int64)
+    window = ring.full_window
+    for x, row, slot in zip(xs, coords, U):
+        v = x.val()
+        row[basis.position("uniformizer-class", 0)] = v % p
+        u = x.divide_uniformizer_power(v)
+        # the prime-to-p part of the unit is a p-th power: kill its residue r
+        # with the p-th power of a lift of r^(-1/p)
+        r = u.residue()
+        if r != F.one:
+            u = u * RingElt.monomial(ring, 0, pth_root(r.inverse())).pth_power()
+        slot[:] = u.data
+        window = min(window, u.window)
+    if window <= bl:
+        raise PrecisionExhausted(f"window {window} cannot certify valuations up to {bl}")
 
-    v = x.val()
-    coords[basis.position("uniformizer-class", 0)] = v % p
-    u = x.divide_uniformizer_power(v)
-    # the prime-to-p part of the unit is a p-th power: kill its residue r
-    # with the p-th power of a lift of r^(-1/p)
-    r = u.residue()
-    if r != F.one:
-        u = u * RingElt.monomial(ring, 0, pth_root(r.inverse())).pth_power()
+    def times(sel, y):
+        U[sel] = (RingElt(ring, U[sel], window) * y).data
 
-    while True:
-        w = u - one
-        lv = w.val_at_most(bl)
-        if lv is None:
-            break
-        a = w.digit(lv)
+    def strip(lv, kind, j, digit):
+        # one stacked product per coordinate value c that occurs
+        pos = basis.position(kind, lv, j)
+        for c in sorted(set(digit.tolist()) - {0}):
+            sel = np.flatnonzero(digit == c)
+            coords[sel, pos] = c
+            times(sel, basis.rep_power(pos, p - c))
+
+    for lv in range(1, bl + 1):
+        # lower digits are gone, so row lv mod e of u - 1 is divisible by
+        # p^(lv // e) and the quotient's residue is the level-lv digit
+        digits = (U[:, lv % e] - one.data[lv % e]) % ring.pm // p ** (lv // e) % p
         if lv == bl:
             # the one tau with a - tau*b0 in the image of t -> t^p + c_res*t,
-            # the kernel of the cokernel functional
-            tau = int(functional @ a.coeffs) * pow(int(functional @ b0.coeffs), p - 2, p) % p
-            rhs = np.array((a - tau * b0).coeffs, dtype=np.int64)
-            sol = FFElt(F, modrep.solve(as_matrix, rhs, p))
-            # a != 0 forces tau > 0 or sol != 0, so the strip is never trivial;
-            # (1 - sol pi^c)^p has level-bl digit -(sol^p + c_res*sol)
-            if tau:
-                coords[basis.position("boundary", bl)] = tau
-                u = u * basis.rep_power(basis.position("boundary", bl), p - tau)
-            if not sol.is_zero():
-                u = u * (one + RingElt.monomial(ring, c, -sol)).pth_power()
-            continue
-        if lv % p == 0:
+            # the kernel of the cokernel functional; one solve for all a
+            b0, functional = np.array(basis.aux["b0"].coeffs), basis.aux["functional"]
+            tau = digits @ functional * pow(int(functional @ b0), p - 2, p) % p
+            rhs = (digits - np.outer(tau, b0)) % p
+            sols = modrep.solve(basis.aux["as_matrix"], rhs.T, p).T
+            strip(bl, "boundary", 0, tau)
+            # a != 0 forces tau > 0 or sol != 0, so the strip is never
+            # trivial; (1 - sol pi^c)^p has level-bl digit -(sol^p + c_res*sol)
+            for i in np.flatnonzero(sols.any(1)):
+                sol = FFElt(F, sols[i])
+                times(i, (one + RingElt.monomial(ring, basis.c_index, -sol)).pth_power())
+        elif lv % p == 0:
             # (1 - b pi^(lv/p))^p has level-lv digit -b^p = -a
-            b = pth_root(a)
-            u = u * (one + RingElt.monomial(ring, lv // p, -b)).pth_power()
-            continue
-        for j, cj in enumerate(a.coeffs):
-            if cj:
-                coords[basis.position("unit-level", lv, j)] = cj
-                u = u * basis.rep_power(basis.position("unit-level", lv, j), p - cj)
+            for i in np.flatnonzero(digits.any(1)):
+                b = pth_root(FFElt(F, digits[i]))
+                times(i, (one + RingElt.monomial(ring, lv // p, -b)).pth_power())
+        else:
+            for j in range(F.f):
+                strip(lv, "unit-level", j, digits[:, j])
+    # certificate: every u - 1 has valuation above bl, so no digit was missed
+    deep = p ** ((bl - np.arange(e)) // e + 1)
+    if np.any((U - one.data) % deep[:, None]):
+        raise InvariantViolation("a class reduction left a digit at or below the boundary level")
     return coords
 
 
@@ -268,9 +290,7 @@ def galois_matrices(basis: ClassBasis) -> dict[GroupElt, np.ndarray]:
     p = tower.p
     out = {}
     for g in (tower.sigma, tower.phi):
-        M = np.zeros((basis.dim, basis.dim), dtype=np.int64)
-        for idx, vec in enumerate(basis.vectors):
-            M[:, idx] = reduce_class(basis, tower.apply(g, vec.rep))
+        M = reduce_class(basis, [tower.apply(g, vec.rep) for vec in basis.vectors]).T
         if modrep.rank(M, p) != basis.dim:
             raise InvariantViolation("a Galois action matrix is singular")
         out[g] = M

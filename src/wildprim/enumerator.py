@@ -25,6 +25,7 @@ the class basis's representative powers; no enumeration result is cached.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import accumulate
 from math import gcd
 
 import numpy as np
@@ -58,13 +59,20 @@ def fingerprint(tower: TameTower, sigma: np.ndarray, phi: np.ndarray) -> tuple:
     """(dim, charpoly of every group element (a, b) -> sigma^a phi^b in lex
     order): an isomorphism invariant that separates classes sharing sorted
     fixed-space data.  The characteristic polynomial is a class function, so
-    it is taken once per conjugacy class."""
+    it is taken once per conjugacy class, at its leader, from one table of
+    powers of sigma and of phi."""
     p = tower.p
+    leaders = [cls[0] for cls in tower.conjugacy_classes]
+
+    def powers(M, k):
+        return list(accumulate([M] * k, lambda A, B: modrep.mm(A, B, p),
+                               initial=np.eye(M.shape[0], dtype=np.int64)))
+
+    sig = powers(sigma, max(a for a, _ in leaders))
+    ph = powers(phi, max(b for _, b in leaders))
     cps = {}
-    for cls in tower.conjugacy_classes:
-        a, b = cls[0]
-        cp = tuple(modrep.charpoly(
-            modrep.mm(modrep._mat_pow(sigma, a, p), modrep._mat_pow(phi, b, p), p), p))
+    for cls, (a, b) in zip(tower.conjugacy_classes, leaders):
+        cp = tuple(modrep.charpoly(modrep.mm(sig[a], ph[b], p), p))
         cps.update((g, cp) for g in cls)
     return (sigma.shape[0], tuple(cps[g] for g in tower.group_elements()))
 

@@ -9,12 +9,13 @@ element is an (e, f') int64 array of coefficient polynomials plus a
 validity window w: the element is known modulo pi^w.  All stored elements
 are integral (valuation >= 0); window bookkeeping is conservative (min of
 the operand windows), which is exact for integral elements.
-A product is one convolution per nonzero pi-row of the sparser operand:
-the denser operand's rows are laid end to end at stride 2f'-1 (row i,
-coefficient u at index i(2f'-1) + u, so row products cannot overlap), and
-its convolution with row j of the sparser operand is added j rows on; the
-2e-1 rows so formed are folded by pi^e = p and reduced modulo h.  Operands
-of the class reduction mostly have one to three nonzero rows.
+A product is one convolution per nonzero pi-row j of the sparser operand
+(or of the one element that multiplies a stack of elements, data of shape
+(S, e, f')): the rows of pi^j times the dense operand, whose wrapped rows
+carry the factor p of pi^e = p, are laid end to end at stride 2f'-1 (row
+i, coefficient u at index i(2f'-1) + u, so no row spills into the next,
+across the whole stack), convolved with row j, summed, and reduced
+modulo h.
 
 The Frobenius lift phi sends x to the root r of h with r = x^p mod p.
 Each Hensel step r <- r - h(r) u, u a lift of the residue inverse of
@@ -76,10 +77,10 @@ class RingDesc:
         return self.m * self.e
 
     def reduce_wide(self, wide: np.ndarray) -> np.ndarray:
-        """Reduce rows of length 2f'-1 modulo h (and p^m)."""
+        """Reduce rows of length 2f'-1 (the last axis) modulo h and p^m."""
         f = self.fprime
         wide = wide % self.pm
-        return (wide[:, :f] + wide[:, f:] @ self.red) % self.pm
+        return (wide[..., :f] + wide[..., f:] @ self.red) % self.pm
 
     @cached_property
     def _frob_pows(self) -> list[np.ndarray]:
@@ -125,9 +126,9 @@ def ring_create(p: int, fprime: int, e: int, prec: int | None = None) -> RingDes
         prec = default_precision(p, e)
     residue = field_create(p, fprime)
     m = -(-prec // e) + 2
-    # A Kronecker product coefficient (RingElt.__mul__) sums at most
-    # e*f' unreduced products below p^(2m), a Frobenius matvec or
-    # matrix product f'; refuse rings where such a sum can wrap int64.
+    # A product coefficient (RingElt.__mul__) sums at most e*f' products of
+    # entries below p^m, a Frobenius matvec or matrix product f'; refuse
+    # rings where such a sum can wrap int64.
     if max(e, 1) * fprime * (p ** m - 1) ** 2 >= 1 << 63:
         raise ValueError(
             f"coefficients modulo {p}^{m} at ramification {e} and residue "
@@ -198,22 +199,27 @@ class RingElt:
         return self + (-other)
 
     def __mul__(self, other):
+        """The product with one element; self may also be a stack of
+        elements (data of shape (S, e, f')), each multiplied by other."""
         self._check(other)
         ring = self.ring
-        e, f = ring.e, ring.fprime
-        stride = 2 * f - 1
-        rows_a, rows_b = self.data.any(1).nonzero()[0], other.data.any(1).nonzero()[0]
-        dense, sparse, rows = ((self, other, rows_b) if len(rows_b) <= len(rows_a)
-                               else (other, self, rows_a))
-        laid = np.zeros((e, stride), dtype=np.int64)
-        laid[:, :f] = dense.data
-        laid = laid.ravel()
-        wide = np.zeros((2 * e - 1) * stride, dtype=np.int64)
+        e, f, pm = ring.e, ring.fprime, ring.pm
+        dense, sparse = self.data, other.data
+        rows = sparse.any(1).nonzero()[0]
+        if dense.ndim == 2:
+            rows_d = dense.any(1).nonzero()[0]
+            if len(rows_d) < len(rows):
+                dense, sparse, rows = sparse, dense, rows_d
+        # rows p*dense then dense, laid at stride 2f'-1: rows e-j .. 2e-j-1
+        # are pi^j * dense (so only j > 0 reads p*dense)
+        laid = np.zeros(dense.shape[:-2] + (2 * e, 2 * f - 1), dtype=np.int64)
+        laid[..., e:, :f] = dense
+        if rows.any():
+            laid[..., :e, :f] = dense * ring.p % pm
+        wide = np.zeros(dense.size // f * (2 * f - 1), dtype=np.int64)
         for j in rows:
-            wide[j * stride:(j + e) * stride] += np.convolve(laid, sparse.data[j])[:e * stride]
-        wide = wide.reshape(2 * e - 1, stride) % ring.pm
-        wide[:e - 1] += ring.p * wide[e:]
-        return RingElt(ring, ring.reduce_wide(wide[:e]),
+            wide += np.convolve(laid[..., e - j:2 * e - j, :].reshape(-1), sparse[j])[:wide.size]
+        return RingElt(ring, ring.reduce_wide(wide.reshape(dense.shape[:-1] + (-1,))),
                        min(self.window, other.window))
 
     def __pow__(self, k: int) -> "RingElt":
@@ -258,16 +264,6 @@ class RingElt:
         if v is None or v >= self.window:
             raise PrecisionExhausted(
                 "element is indistinguishable from zero at the working precision")
-        return v
-
-    def val_at_most(self, bound: int):
-        """val() if it is <= bound, else None (certified).  Needs window > bound."""
-        if self.window <= bound:
-            raise PrecisionExhausted(
-                f"window {self.window} cannot certify valuations up to {bound}")
-        v = self._stored_val()
-        if v is None or v > bound:
-            return None
         return v
 
     def divide_uniformizer_power(self, k: int) -> "RingElt":

@@ -71,15 +71,17 @@ def rank(A, p: int) -> int:
 
 
 def solve(A, b, p: int) -> np.ndarray:
-    """One solution x of A @ x = b; raises ValueError if inconsistent."""
+    """One solution x of A @ x = b; for a 2-D b, one solution column per
+    column of b, all from one rref.  Raises ValueError if any is
+    inconsistent."""
     A = as_fp(A, p)
-    b = as_fp(b, p).reshape(-1)
-    aug = np.concatenate([A, b[:, None]], axis=1)
-    R, pivots = rref(aug, p)
-    if pivots and pivots[-1] == A.shape[1]:
+    b = as_fp(b, p)
+    n = A.shape[1]
+    R, pivots = rref(np.concatenate([A, b.reshape(len(b), -1)], axis=1), p)
+    if pivots and pivots[-1] >= n:
         raise ValueError("inconsistent linear system")
-    x = np.zeros(A.shape[1], dtype=np.int64)
-    x[pivots] = R[:, -1]
+    x = np.zeros((n,) + b.shape[1:], dtype=np.int64)
+    x[pivots] = R[:, n:].reshape((len(pivots),) + b.shape[1:])
     return x
 
 

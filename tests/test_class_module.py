@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from laurent import artin_schreier_image, laurent_sum, random_laurent
+from ringref import val_at_most
 from wildprim import modrep
 from wildprim.classmod import (
     artinschreier_basis, filtration_index,
     galois_matrices, kummer_basis, level_of, omega_character, reduce_class,
 )
+from wildprim.errors import PrecisionExhausted
 from wildprim.localring import RingElt
 from wildprim.tower import BaseField, build_tower
 
@@ -420,7 +422,7 @@ def _reference_reduce_kummer(basis, x):
     u = u * RingElt.teichmuller(ring, u.residue().inverse())
     while True:
         w = u - one
-        lv = w.val_at_most(bl)
+        lv = val_at_most(w, bl)
         if lv is None:
             return coords
         a = w.divide_uniformizer_power(lv).residue()
@@ -463,3 +465,39 @@ def test_reduction_matches_inverse_based_reference(base, n):
     for _ in range(20):
         x = RingElt.uniformizer(tower.ring, rng.randrange(4)) * rand_unit(tower, rng)
         assert np.array_equal(reduce_class(basis, x), _reference_reduce_kummer(basis, x))
+
+
+@pytest.mark.parametrize("base, n", [(Q2, 2), (Q3, 1), (BaseField(5, 1, 0), 1),
+                                     (BaseField(3, 2, 0), 1), (BaseField(7, 2, 0), 1),
+                                     (Q2, 3), (BaseField(2, 3, 0), 2)])
+def test_stacked_reduction_matches_the_reference(base, n):
+    # one reduce_class call on a stack: units and non-units, residues 1 and
+    # random, and basis representatives
+    tower = build_tower(base, n)
+    basis = kummer_basis(tower)
+    ring = tower.ring
+    rng = random.Random(base.p * 100 + base.f * 10 + n)
+    stack = [RingElt.uniformizer(ring, rng.randrange(4)) * rand_unit(tower, rng)
+             for _ in range(6)]
+    stack += [rng.choice(basis.vectors).rep for _ in range(2)]
+    stack.append(RingElt.uniformizer(ring, 2) * rng.choice(basis.vectors).rep)
+    stack.append(RingElt.monomial(ring, 0, tower.residue.from_code(2))
+                 + RingElt.uniformizer(ring) * rand_unit(tower, rng))
+    assert any(x.val() > 0 for x in stack)
+    assert any(x.val() == 0 and x.residue() != tower.residue.one for x in stack)
+    coords = reduce_class(basis, stack)
+    assert coords.shape == (len(stack), basis.dim)
+    for x, row in zip(stack, coords):
+        assert np.array_equal(row, _reference_reduce_kummer(basis, x))
+    assert reduce_class(basis, []).shape == (0, basis.dim)
+
+
+def test_stacked_reduction_needs_every_window_past_the_boundary(q2n2):
+    t, basis = q2n2
+    ring = t.ring
+    rng = random.Random(1)
+    short = rand_unit(t, rng)
+    stack = [rand_unit(t, rng) for _ in range(3)]
+    reduce_class(basis, stack + [RingElt(ring, short.data, basis.boundary_level + 1)])
+    with pytest.raises(PrecisionExhausted):
+        reduce_class(basis, stack + [RingElt(ring, short.data, basis.boundary_level)])

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -147,6 +148,39 @@ ORACLE_TOWERS = [
 def test_closed_form_classes_match_the_chop(p, f, char, n):
     report = simple_classes_oracle_check(build_tower(BaseField(p, f, char), n))
     assert report.passed, report.render()
+
+
+# sha256 (first 16 hex digits) of repr([c.fingerprint for c in
+# simple_classes(tower)]), recorded when each leader's sigma^a phi^b was
+# computed by square-and-multiply powers
+FINGERPRINT_SHA256 = {
+    (2, 1, 0, 1): "036243d48ceaf4b6",
+    (2, 1, 0, 2): "291236a67f24606f",
+    (2, 1, 0, 3): "50f15ac9ffeab690",
+    (3, 1, 0, 1): "2dfe1888a02812ba",
+    (3, 1, 0, 2): "bdd184fae4ae6544",
+    (2, 2, 0, 2): "6bc28dba34eeadf7",
+    (2, 3, 0, 2): "291236a67f24606f",
+    (3, 2, 0, 1): "2dfe1888a02812ba",
+    (5, 2, 0, 1): "f5da99957dd971b3",
+    (3, 3, 0, 1): "2dfe1888a02812ba",
+    (7, 2, 0, 1): "52bc4e766901747f",
+    (5, 1, 0, 1): "f5da99957dd971b3",
+    (7, 1, 0, 1): "52bc4e766901747f",
+    (11, 1, 0, 1): "44ecba4a0bcdbcc8",
+    (13, 1, 0, 1): "c0a371d0c6755a68",
+    (2, 2, 2, 1): "036243d48ceaf4b6",
+    (2, 2, 2, 2): "6bc28dba34eeadf7",
+    (5, 1, 5, 1): "f5da99957dd971b3",
+    (2, 1, 2, 3): "50f15ac9ffeab690",
+}
+
+
+@pytest.mark.parametrize("p,f,char,n", ORACLE_TOWERS)
+def test_fingerprints_are_pinned(p, f, char, n):
+    classes = simple_classes(build_tower(BaseField(p, f, char), n))
+    digest = hashlib.sha256(repr([c.fingerprint for c in classes]).encode()).hexdigest()
+    assert digest[:16] == FINGERPRINT_SHA256[p, f, char, n]
 
 
 def test_simple_classes_of_q2_n4():

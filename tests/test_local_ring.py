@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from ringref import agrees_with, is_zero_to_window, leading
+from ringref import agrees_with, is_zero_to_window, leading, val_at_most
 from wildprim.errors import PrecisionExhausted
 from wildprim.finitefield import FFElt
 from wildprim.localring import RingElt, default_precision, ring_create
@@ -150,10 +150,10 @@ def test_zero_detection_raises(mixed_ring):
 
 def test_val_at_most_certifies(mixed_ring):
     x = RingElt.uniformizer(mixed_ring, 5)
-    assert x.val_at_most(4) is None
-    assert x.val_at_most(5) == 5
+    assert val_at_most(x, 4) is None
+    assert val_at_most(x, 5) == 5
     with pytest.raises(PrecisionExhausted):
-        x.val_at_most(10 ** 6)
+        val_at_most(x, 10 ** 6)
 
 
 def test_precision_monotonicity():
@@ -255,6 +255,26 @@ def test_mul_matches_python_int_reference(p, fprime, e):
                 a, b = operand(ra), operand(rb)
                 product = RingElt(ring, a) * RingElt(ring, b)
                 assert np.array_equal(product.data, _reference_mul(ring, a, b))
+
+
+@pytest.mark.parametrize("p,fprime,e", RING_SHAPES)
+@pytest.mark.parametrize("size", [1, 5])
+def test_stacked_mul_matches_python_int_reference(p, fprime, e, size):
+    # a stack of random elements times one element with 0, 1, 2 and e
+    # nonzero pi-rows, element by element
+    ring = ring_create(p, fprime, e)
+    rng = random.Random(p * fprime * e + size)
+    for nrows in (0, 1, 2, e):
+        b = np.zeros((e, fprime), dtype=np.int64)
+        for i in rng.sample(range(e), min(nrows, e)):
+            b[i] = [rng.randrange(ring.pm) for _ in range(fprime)]
+        stack = np.array([[[rng.randrange(ring.pm) for _ in range(fprime)]
+                           for _ in range(e)] for _ in range(size)], dtype=np.int64)
+        product = RingElt(ring, stack, ring.full_window - 1) * RingElt(ring, b)
+        assert product.data.shape == stack.shape
+        assert product.window == ring.full_window - 1
+        for a, ab in zip(stack, product.data):
+            assert np.array_equal(ab, _reference_mul(ring, a, b))
 
 
 @pytest.mark.parametrize("p,fprime,e", RING_SHAPES)

@@ -49,6 +49,26 @@ def test_solve_flags_inconsistent():
         solve(A, np.array([0, 1]), 2)
 
 
+def test_solve_columns_match_per_column_solves():
+    rng = random.Random(4)
+    for p in (2, 3, 7):
+        A = np.array([[rng.randrange(p) for _ in range(9)] for _ in range(12)],
+                     dtype=np.int64)
+        B = A @ np.array([[rng.randrange(p) for _ in range(5)] for _ in range(9)]) % p
+        X = solve(A, B, p)
+        assert X.shape == (9, 5) and not np.any((A @ X - B) % p)
+        for k in range(5):
+            assert np.array_equal(X[:, k], solve(A, B[:, k], p))
+
+
+def test_solve_flags_an_inconsistent_column():
+    A = np.array([[1, 1], [1, 1]], dtype=np.int64)
+    B = np.array([[0, 1, 1], [0, 1, 0]], dtype=np.int64)
+    assert not np.any(solve(A, B[:, :2], 2)[:, 0])
+    with pytest.raises(ValueError):
+        solve(A, B, 2)
+
+
 def test_inv_mat():
     rng = random.Random(1)
     A = np.array([[rng.randrange(3) for _ in range(6)] for _ in range(6)],

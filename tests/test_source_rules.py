@@ -77,6 +77,35 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def _scopes_using(tree, name):
+    """Qualified names of the scopes that mention `name` as an attribute or
+    a bare name."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if ((isinstance(child, ast.Attribute) and child.attr == name)
+                    or (isinstance(child, ast.Name) and child.id == name)):
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_one_ring_product_path():
+    # np.convolve is the kernel of the ring product; a call anywhere else
+    # would be a second product path
+    sites = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        sites += [f"{path.name}:{scope}" for scope in _scopes_using(tree, "convolve")]
+    assert sites == ["localring.py:RingElt.__mul__"]
+
+
 def test_readme_record_table_is_the_record_schema():
     # the README's frozen field table lists ExtensionRecord's fields in
     # order, and CSV flattens `base` into the leading columns p, f, char
