@@ -120,8 +120,8 @@ def kummer_basis(tower: TameTower) -> ClassBasis:
         raise InvariantViolation(
             "boundary map image must have corank 1 (p-torsion present)")
     # b0 = x^j: smaller codes only use coordinates the cokernel functional
-    # ignores, so they all lie in the image
-    functional = modrep.kernel(im_rows, p)[0]
+    # ignores, so they all lie in the image; rref scales it to 1 at b0
+    functional = modrep.rref(modrep.kernel(im_rows, p), p)[0][0]
     b0 = F.from_code(p ** int(np.flatnonzero(functional)[0]))
     vectors.append(BasisVector(
         "boundary", bl, 0,
@@ -220,8 +220,8 @@ def _reduce_kummer(basis: ClassBasis, xs: list[RingElt]) -> np.ndarray:
         if lv == bl:
             # the one tau with a - tau*b0 in the image of t -> t^p + c_res*t,
             # the kernel of the cokernel functional; one solve for all a
-            b0, functional = np.array(basis.aux["b0"].coeffs), basis.aux["functional"]
-            tau = digits @ functional * pow(int(functional @ b0), p - 2, p) % p
+            b0 = np.array(basis.aux["b0"].coeffs)
+            tau = modrep.mm(digits, basis.aux["functional"], p)
             rhs = (digits - np.outer(tau, b0)) % p
             sols = modrep.solve(basis.aux["as_matrix"], rhs.T, p).T
             strip(bl, "boundary", 0, tau)
@@ -285,16 +285,25 @@ def _reduce_artinschreier(basis: ClassBasis, x: Laurent) -> np.ndarray:
 
 
 def galois_matrices(basis: ClassBasis) -> dict[GroupElt, np.ndarray]:
-    """Action matrices of sigma and phi (columns = reduced images of reps)."""
+    """Action matrices of sigma and phi (columns = reduced images of reps),
+    certified by relations_hold to form a representation of G."""
     tower = basis.tower
-    p = tower.p
-    out = {}
-    for g in (tower.sigma, tower.phi):
-        M = reduce_class(basis, [tower.apply(g, vec.rep) for vec in basis.vectors]).T
-        if modrep.rank(M, p) != basis.dim:
-            raise InvariantViolation("a Galois action matrix is singular")
-        out[g] = M
+    out = {g: reduce_class(basis, [tower.apply(g, vec.rep) for vec in basis.vectors]).T
+           for g in (tower.sigma, tower.phi)}
+    if not relations_hold(tower, out[tower.sigma], out[tower.phi]):
+        raise InvariantViolation("the Galois action matrices break a relation of G")
     return out
+
+
+def relations_hold(tower: TameTower, sigma: np.ndarray, phi: np.ndarray) -> bool:
+    """Whether sigma^e = phi^(se) = 1 and phi sigma = sigma^q phi: the
+    certificate of a representation of G, which makes the matrices invertible."""
+    p, e, pw = tower.p, tower.e, modrep._mat_pow
+    eye = np.eye(len(sigma), dtype=np.int64)
+    return (np.array_equal(pw(sigma, e, p), eye)
+            and np.array_equal(pw(phi, tower.s * e, p), eye)
+            and np.array_equal(modrep.mm(phi, sigma, p),
+                               modrep.mm(pw(sigma, tower.base.q % e, p), phi, p)))
 
 
 def filtration_index(basis: ClassBasis, rows: np.ndarray):

@@ -168,7 +168,7 @@ def simple_classes(tower: TameTower) -> list[SimpleClassInfo]:
                 frob = np.kron(np.eye(t, dtype=np.int64), F.frobenius_power(d))
                 eye = np.eye(t * r, dtype=np.int64)
                 for code in range(1, F.order):
-                    J = shift(jp, F.from_code(code)) @ frob % p
+                    J = modrep.mm(shift(jp, F.from_code(code)), frob, p)
                     if np.array_equal(modrep._mat_pow(J, r // d, p), eye):
                         break
                 rows = modrep.kernel(J - eye, p)
@@ -340,6 +340,8 @@ def enumerate_primitive(base: BaseField, n: int, *, level_bound: int | None = No
     """
     if base.char != 0 and level_bound is None:
         raise ValueError("equal characteristic requires a level bound")
+    if base.char == 0 and level_bound is not None:
+        raise ValueError("a level bound applies only in equal characteristic")
     tower = build_tower(base, n, precision)
     if base.char == 0:
         basis = kummer_basis(tower)

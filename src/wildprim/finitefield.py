@@ -248,7 +248,7 @@ def field_create(p: int, f: int) -> FiniteField:
 def frobenius(x: FFElt, k: int = 1) -> FFElt:
     """x^(p^k); k may be any integer (negative = inverse Frobenius)."""
     F = x.field
-    return FFElt(F, F.frobenius_power(k) @ np.array(x.coeffs, dtype=np.int64))
+    return FFElt(F, modrep.mm(F.frobenius_power(k), np.array(x.coeffs, dtype=np.int64), F.p))
 
 
 def pth_root(x: FFElt) -> FFElt:
@@ -261,7 +261,7 @@ def abs_trace(x: FFElt) -> int:
     trace off x."""
     F = x.field
     row = F._frob_pows[:, 0].sum(axis=0) % F.p
-    return int(row @ np.array(x.coeffs, dtype=np.int64)) % F.p
+    return int(modrep.mm(row, np.array(x.coeffs, dtype=np.int64), F.p))
 
 
 def find_generator(F: FiniteField) -> FFElt:
@@ -296,7 +296,7 @@ def first_element_of_order(F: FiniteField, e: int) -> FFElt:
     primes = gfpoly._prime_divisors(e)
     for code in range(1, p ** j):
         digits = np.array([(code // p ** i) % p for i in range(j)], dtype=np.int64)
-        z = FFElt(F, digits @ rows) ** cofactor
+        z = FFElt(F, modrep.mm(digits, rows, p)) ** cofactor
         if all(z ** (e // ell) != F.one for ell in primes):
             return min((z ** k for k in range(1, e) if gcd(k, e) == 1),
                        key=FFElt.code)

@@ -5,7 +5,9 @@ matrices use the column convention: a group element g with matrix M sends
 the column vector v to M @ v, so matrices compose like the group
 (M_{gh} = M_g @ M_h).  Subspaces are stored as row matrices, normally in
 reduced row echelon form, which doubles as the canonical form used for
-deterministic ordering.
+deterministic ordering.  Every F_p product is one call of mm: int64 below
+an inner width of BLAS_WIDTH, float64 on BLAS from there on, exact while
+width * (p - 1)^2 < 2^53 (Dumas, Giorgi, Pernet 2008), else InvariantViolation.
 
 The module splitter (chop) is the usual randomized MeatAxe with Norton's
 irreducibility certificate, driven by a caller-supplied seed.  The pipeline
@@ -31,13 +33,20 @@ import numpy as np
 from . import gfpoly
 from .errors import InvariantViolation, IterationBudgetExceeded
 
+BLAS_WIDTH = 32  # from this inner width on float64 wins (2-core host)
+
 
 def as_fp(A, p: int) -> np.ndarray:
     return np.asarray(A, dtype=np.int64) % p
 
 
 def mm(A, B, p: int) -> np.ndarray:
-    return (A @ B) % p
+    width = np.shape(A)[-1]
+    if width < BLAS_WIDTH:
+        return (A @ B) % p
+    if width * (p - 1) ** 2 >= 1 << 53:
+        raise InvariantViolation(f"a width-{width} product mod {p} is not exact in float64")
+    return (np.asarray(A, dtype=np.float64) @ np.asarray(B, dtype=np.float64) % p).astype(np.int64)
 
 
 def rref(A, p: int):
@@ -117,7 +126,7 @@ def poly_eval_matrix(f: list[int], M: np.ndarray, p: int) -> np.ndarray:
     eye = np.eye(M.shape[0], dtype=np.int64)
     out = f[-1] * eye
     for i, c in enumerate(reversed(f[:-1])):
-        out = ((out @ M if i else f[-1] * M) + c * eye) % p
+        out = ((mm(out, M, p) if i else f[-1] * M) + c * eye) % p
     return out % p
 
 
@@ -247,7 +256,7 @@ def _spin(gens_t, seeds, p: int, limit: int | None = None) -> np.ndarray:
         v, inserted = _echelon_insert(rows, pivots, queue.popleft(), p)
         if inserted and len(rows) < cap:
             for Mt in gens_t:
-                queue.append((v @ Mt) % p)
+                queue.append(mm(v, Mt, p))
     if not rows:
         return np.zeros((0, dim), dtype=np.int64)
     return np.stack(rows)
@@ -403,20 +412,20 @@ def hom_space(gens_S, gens_V, p: int) -> list[np.ndarray]:
     for MS, MV in zip(gens_S[1:], gens_V[1:]):
         if not len(Y):
             break
-        defect = (np.matmul(mm(MV, W.T, p), Y) - np.matmul(W.T, np.matmul(Y, MS) % p)) % p
+        defect = (mm(mm(MV, W.T, p), Y, p) - mm(W.T, mm(Y, MS, p), p)) % p
         keep = kernel(defect.reshape(len(Y), -1).T, p)
-        Y = np.tensordot(keep, Y, axes=1) % p
-    return list(np.matmul(W.T, Y) % p)
+        Y = mm(keep, Y.reshape(len(Y), -1), p).reshape(-1, k, n)
+    return list(mm(W.T, Y, p))
 
 
 def _mat_pow(M, e: int, p: int) -> np.ndarray:
-    out = np.eye(M.shape[0], dtype=np.int64)
+    out = eye = np.eye(M.shape[0], dtype=np.int64)
     base = M % p
     while e:
         if e & 1:
-            out = mm(out, base, p)
-        base = mm(base, base, p)
+            out = base if out is eye else mm(out, base, p)
         e >>= 1
+        base = mm(base, base, p) if e else base
     return out
 
 
@@ -441,11 +450,11 @@ def enumerate_simple_submodules(gens_V, gens_S, end_degree: int,
     if not _is_simple(gens_S, p):
         raise InvariantViolation("emitted subspace is not simple")
     stacked = np.stack(H)
-    if any(np.any((MV @ stacked - stacked @ MS) % p) for MV, MS in zip(gens_V, gens_S)):
+    if any(np.any(mm(MV, stacked, p) != mm(stacked, MS, p)) for MV, MS in zip(gens_V, gens_S)):
         raise InvariantViolation("a map of Hom(S, V) is not equivariant")
     hits: dict[bytes, list] = {}  # image key -> [rows, times reached]
     lines = np.stack(list(_line_representatives(len(H), p)))
-    for h in np.tensordot(lines, stacked, axes=1) % p:
+    for h in mm(lines, stacked.reshape(len(H), -1), p).reshape(-1, *stacked.shape[1:]):
         ech = _echelon(h.T, p)[0]
         if len(ech) != n:
             raise InvariantViolation("hom from a simple module must be injective")

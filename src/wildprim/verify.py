@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import modrep
-from .classmod import reduce_class
+from .classmod import reduce_class, relations_hold
 from .enumerator import (EnumerationResult, SimpleClassInfo,
                          enumerate_primitive, fingerprint,
                          level_divisibility_holds, simple_classes)
@@ -253,9 +253,7 @@ def duality_checks(result: EnumerationResult) -> VerificationReport:
         tw_s = (result.omega[tower.sigma] * dual_s) % p
         tw_p = (result.omega[tower.phi] * dual_p) % p
         ok_twist = p != 2 or (np.array_equal(tw_s, dual_s) and np.array_equal(tw_p, dual_p))
-        q = tower.base.q
-        conj = modrep.mm(modrep.mm(tw_p, tw_s, p), modrep.inv_mat(tw_p, p), p)
-        ok_rel = np.array_equal(conj, modrep._mat_pow(tw_s, q, p))
+        ok_rel = relations_hold(tower, tw_s, tw_p)
         ok_simple = modrep.certify_simple([tw_s, tw_p], p)
         polys = [modrep.charpoly(g, p) for g in (tw_s, tw_p)]
         matches = [c.identifier for c, cps in classes_n

@@ -6,12 +6,12 @@ import pytest
 
 from laurent import artin_schreier_image, laurent_sum, random_laurent
 from ringref import val_at_most
-from wildprim import modrep
+from wildprim import classmod, modrep
 from wildprim.classmod import (
     artinschreier_basis, filtration_index,
     galois_matrices, kummer_basis, level_of, omega_character, reduce_class,
 )
-from wildprim.errors import PrecisionExhausted
+from wildprim.errors import InvariantViolation, PrecisionExhausted
 from wildprim.localring import RingElt
 from wildprim.tower import BaseField, build_tower
 
@@ -151,6 +151,26 @@ def test_galois_matrices_relations_q2n2(q2n2):
                 seen.add(nxt.tobytes())
                 frontier.append(nxt)
     assert len(seen) == t.group_order
+
+
+def test_galois_matrices_refuse_an_invertible_phi_breaking_a_relation(q2n2, monkeypatch):
+    # phi's matrix with columns 1 and 2 swapped keeps full rank, so a rank
+    # check passes it; phi sigma = sigma^q phi no longer holds
+    t, basis = q2n2
+    reduce = classmod.reduce_class
+    calls = []
+
+    def swapped(basis, xs):
+        coords = reduce(basis, xs)
+        calls.append(xs)
+        if len(calls) == 2:  # phi's images come after sigma's
+            coords[[1, 2]] = coords[[2, 1]]
+        return coords
+
+    monkeypatch.setattr(classmod, "reduce_class", swapped)
+    with pytest.raises(InvariantViolation, match="break a relation"):
+        galois_matrices(basis)
+    assert len(calls) == 2
 
 
 def test_galois_matrices_trivial_at_n1(q2n1):

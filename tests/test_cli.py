@@ -146,6 +146,13 @@ def test_missing_level_bound_is_a_usage_error(tmp_path, monkeypatch, capsys):
     assert "level bound" in capsys.readouterr().err
 
 
+def test_level_bound_in_characteristic_zero_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    code = run(["enumerate", "--p", "2", "--f", "1", "--char", "0", "--n", "1",
+                "--level-bound", "-3"], tmp_path, monkeypatch)
+    assert code == 1
+    assert "level bound applies only in equal characteristic" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("precision,char_args", [
     ("-5", ["--char", "0"]), ("-5", ["--char", "p", "--level-bound", "2"]),
     ("0", ["--char", "0"])], ids=["char0", "charp", "char0-zero"])

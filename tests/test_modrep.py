@@ -26,6 +26,45 @@ def test_kernel_of_identity_is_zero():
     assert kernel(np.eye(4, dtype=np.int64), 2).shape[0] == 0
 
 
+@pytest.mark.parametrize("p", [2, 3, 7, 61])
+@pytest.mark.parametrize("width", [modrep.BLAS_WIDTH - 1, modrep.BLAS_WIDTH, 3 * modrep.BLAS_WIDTH])
+def test_mm_is_the_int64_product_mod_p(p, width):
+    rng = np.random.default_rng(p * width)
+    B = rng.integers(0, p, (width, 5))
+    for shape in [(width,), (4, width), (3, 4, width)]:
+        A = rng.integers(0, p, shape)
+        got = modrep.mm(A, B, p)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, (A @ B) % p)
+    # a vector on the right, and entries of either sign below p in size
+    A = rng.integers(1 - p, p, (4, width))
+    v = rng.integers(1 - p, p, width)
+    assert np.array_equal(modrep.mm(A, v, p), (A @ v) % p)
+
+
+def test_mm_refuses_an_inexact_float64_product():
+    # width * (p - 1)^2 = 2^53 is past the float64 exactness bound
+    p, width = (1 << 23) + 1, 128
+    assert width >= modrep.BLAS_WIDTH and width * (p - 1) ** 2 == 1 << 53
+    A = np.zeros((2, width), dtype=np.int64)
+    B = np.zeros((width, 2), dtype=np.int64)
+    with pytest.raises(InvariantViolation, match="not exact"):
+        modrep.mm(A, B, p)
+    # one column narrower the sums stay exact
+    assert not modrep.mm(A[:, 1:], B[1:], p).any()
+    # below the switch the product stays on int64 and never meets the bound
+    assert not modrep.mm(A[:, :modrep.BLAS_WIDTH - 1], B[:modrep.BLAS_WIDTH - 1], p).any()
+
+
+def test_mat_pow_is_the_repeated_product():
+    rng = np.random.default_rng(5)
+    M = rng.integers(0, 7, (5, 5))
+    ref = np.eye(5, dtype=np.int64)
+    for e in range(20):
+        assert np.array_equal(modrep._mat_pow(M, e, 7), ref)
+        ref = ref @ M % 7
+
+
 def test_rank_all_ones():
     assert rank(np.ones((3, 3), dtype=np.int64), 2) == 1
 

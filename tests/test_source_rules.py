@@ -77,9 +77,8 @@ def test_no_unused_imports():
     assert unused == []
 
 
-def _scopes_using(tree, name):
-    """Qualified names of the scopes that mention `name` as an attribute or
-    a bare name."""
+def _scopes_where(tree, hit):
+    """Qualified names of the scopes holding a node for which hit is true."""
     found = []
 
     def visit(node, scope):
@@ -87,13 +86,20 @@ def _scopes_using(tree, name):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if ((isinstance(child, ast.Attribute) and child.attr == name)
-                    or (isinstance(child, ast.Name) and child.id == name)):
+            if hit(child):
                 found.append(".".join(scope))
             visit(child, scope)
 
     visit(tree, [])
     return found
+
+
+def _scopes_using(tree, name):
+    """Qualified names of the scopes that mention `name` as an attribute or
+    a bare name."""
+    return _scopes_where(tree, lambda node: (
+        (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.Name) and node.id == name)))
 
 
 def test_one_ring_product_path():
@@ -104,6 +110,28 @@ def test_one_ring_product_path():
         tree = ast.parse(path.read_text(), str(path))
         sites += [f"{path.name}:{scope}" for scope in _scopes_using(tree, "convolve")]
     assert sites == ["localring.py:RingElt.__mul__"]
+
+
+# the Z/p^m products of the valuation ring: their entries can exceed the
+# float64 bound, so they stay on int64 and outside modrep.mm
+RING_PRODUCT_SCOPES = {"localring.py:RingDesc.reduce_wide", "localring.py:RingDesc._frob_pows",
+                       "tower.py:TameTower.__init__", "tower.py:TameTower.apply"}
+
+
+def _is_matrix_product(node) -> bool:
+    return ((isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult))
+            or (isinstance(node, ast.Attribute)
+                and node.attr in {"matmul", "dot", "tensordot", "einsum", "inner", "vdot"}))
+
+
+def test_one_fp_product_path():
+    # every F_p product goes through modrep.mm, which picks int64 or exact
+    # float64 by width; only the ring's Z/p^m products multiply elsewhere
+    sites = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        sites |= {f"{path.name}:{scope}" for scope in _scopes_where(tree, _is_matrix_product)}
+    assert sites - RING_PRODUCT_SCOPES == {"modrep.py:mm"}
 
 
 def test_readme_record_table_is_the_record_schema():
