@@ -2,9 +2,10 @@
 
 Mixed characteristic: the multiplicative group modulo p-th powers.  The
 filtration-adapted basis has one uniformizer-class vector (index 0 by
-convention), one unit vector 1 + w(a_j) pi^i per residue basis element a_j
-and per index 1 <= i < p*e/(p-1) prime to p (w = Teichmueller lift), and
-one boundary vector at index p*e/(p-1) whose residue coefficient is
+convention), one unit vector 1 + w(a_j) pi^i per residue basis element
+a_j = x^j and per index 1 <= i < p*e/(p-1) prime to p (w = Teichmueller
+lift, w(x^j) = X^j in the ring's presentation, see localring), and one
+boundary vector at index p*e/(p-1) whose residue coefficient is
 b_0 = x^j, the first element (value order) outside the image of
 a -> a^p + c a, c the residue of p / pi^e: j is the first nonzero
 coordinate of the functional cutting out that corank-1 image.  Total
@@ -99,33 +100,29 @@ def kummer_basis(tower: TameTower) -> ClassBasis:
     bl = p * c
     one = RingElt.one(ring)
 
-    # w(x^j) = w(x)^j for the power-basis elements x^j
-    wx = RingElt.teichmuller(ring, F.gen)
-    lifts = [one]
-    for _ in range(F.f - 1):
-        lifts.append(lifts[-1] * wx)
+    # w(x^j) = X^j in the ring's presentation (localring), so every
+    # representative 1 + w(x^j) pi^i is one plus a monomial
     vectors = [BasisVector("uniformizer-class", 0, 0, RingElt.uniformizer(ring))]
     for i in range(1, bl):
         if i % p == 0:
             continue
-        pi_i = RingElt.uniformizer(ring, i)
         for j in range(F.f):
-            vectors.append(BasisVector("unit-level", i, j, one + lifts[j] * pi_i))
+            vectors.append(BasisVector(
+                "unit-level", i, j, one + RingElt.monomial(ring, i, F.from_code(p ** j))))
 
     # boundary data: the twisted equation x^p + c_res x = a decides solvability
     c_res = RingElt.from_int(ring, p).digit(e)
     as_matrix = F.linear_matrix(lambda t: t ** p + c_res * t)
-    im_rows = modrep.image(as_matrix, p)
-    if im_rows.shape[0] != F.f - 1:
+    # the functional cutting out the image is the left kernel of as_matrix
+    left = modrep.kernel(as_matrix.T, p)
+    if left.shape[0] != 1:
         raise InvariantViolation(
             "boundary map image must have corank 1 (p-torsion present)")
-    # b0 = x^j: smaller codes only use coordinates the cokernel functional
-    # ignores, so they all lie in the image; rref scales it to 1 at b0
-    functional = modrep.rref(modrep.kernel(im_rows, p), p)[0][0]
+    # b0 = x^j: smaller codes only use coordinates the functional ignores,
+    # so they all lie in the image; rref scales it to 1 at b0
+    functional = modrep.rref(left, p)[0][0]
     b0 = F.from_code(p ** int(np.flatnonzero(functional)[0]))
-    vectors.append(BasisVector(
-        "boundary", bl, 0,
-        one + RingElt.teichmuller(ring, b0) * RingElt.uniformizer(ring, bl)))
+    vectors.append(BasisVector("boundary", bl, 0, one + RingElt.monomial(ring, bl, b0)))
 
     basis = ClassBasis(tower, vectors, aux={
         "c_index": c, "boundary_level": bl, "b0": b0, "as_matrix": as_matrix,

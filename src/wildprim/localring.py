@@ -2,28 +2,32 @@
 tame tower field.
 
 Elements live in W(F_q')/p^m [pi] / (pi^e - p).  The unramified
-coefficient ring W(F_q')/p^m = (Z/p^m)[x]/(h), h the lifted residue
-modulus, is row 0 of this ring: a coefficient is an element whose other
-pi-rows are zero, and every coefficient product is a RingElt product.  An
-element is an (e, f') int64 array of coefficient polynomials plus a
-validity window w: the element is known modulo pi^w.  All stored elements
-are integral (valuation >= 0); window bookkeeping is conservative (min of
-the operand windows), which is exact for integral elements.
+coefficient ring W(F_q')/p^m = (Z/p^m)[X]/(F), F the Teichmueller
+modulus (the minimal polynomial of the Teichmueller lift w(x) of the
+residue generator; F = h mod p, h the residue modulus), is row 0 of this
+ring: a coefficient is an element whose other pi-rows are zero, and every
+coefficient product is a RingElt product.  An element is an (e, f') int64
+array of coefficient polynomials plus a validity window w: the element is
+known modulo pi^w.  All stored elements are integral (valuation >= 0);
+window bookkeeping is conservative (min of the operand windows), which is
+exact for integral elements.
 A product is one convolution per nonzero pi-row j of the sparser operand
 (or of the one element that multiplies a stack of elements, data of shape
 (S, e, f')): the rows of pi^j times the dense operand, whose wrapped rows
 carry the factor p of pi^e = p, are laid end to end at stride 2f'-1 (row
 i, coefficient u at index i(2f'-1) + u, so no row spills into the next,
 across the whole stack), convolved with row j, summed, and reduced
-modulo h.
+modulo F.
 
-The Frobenius lift phi sends x to the root r of h with r = x^p mod p.
-Each Hensel step r <- r - h(r) u, u a lift of the residue inverse of
-h'(x^p), gains one p-adic digit, so m steps fix r mod p^m; the columns of
-phi's matrix are the powers r^j (RingDesc.frobenius_power).  The
-Teichmueller lift of a is b^(p^(m-1)) for any lift b of a^(p^-(m-1)):
-lifts that agree mod p agree mod p^m after m - 1 p-th powers (Serre,
-Local Fields, II section 4).
+In this presentation X = w(x), so w(x^j) = X^j and the Frobenius lift
+phi is the power map X -> X^p: phi(w(x)) = w(x^p) (Serre, Local Fields,
+II section 4); the columns of phi's matrix are the powers X^(pj)
+(RingDesc.frobenius_power).  ring_create finds F from the plain lift h~
+of h: with w computed in the ring presented by h~, each step
+F <- F - F(w) gains one p-adic digit, because w^j = x^j mod p, so m
+steps fix F mod p^m.  The Teichmueller lift of a is b^(p^(m-1)) for any
+lift b of a^(p^-(m-1)): lifts that agree mod p agree mod p^m after
+m - 1 p-th powers.
 
 Equal characteristic needs no ring here: a class element there is a finite
 Laurent polynomial in the uniformizer u (u^e = t), held as a plain dict
@@ -37,7 +41,7 @@ filtration index downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -61,62 +65,53 @@ class RingDesc:
     e: int               # ramification index (pi^e = p)
     prec: int            # working uniformizer-adic precision
     m: int               # coefficient precision, powers of p
+    modulus: tuple       # monic coefficient modulus mod p^m, constant term first
     residue: FiniteField = field(compare=False)
     pm: int = field(init=False, compare=False)                       # p^m
     ppow: np.ndarray = field(init=False, compare=False, repr=False)  # p^0 .. p^(m-1)
-    red: np.ndarray = field(init=False, compare=False, repr=False)   # x^(f'+k) mod h
+    red: np.ndarray = field(init=False, compare=False, repr=False)   # X^(f'+k) mod F
 
     def __post_init__(self):
         # frozen: the derived data is set past the dataclass __setattr__
         object.__setattr__(self, "pm", self.p ** self.m)
         object.__setattr__(self, "ppow", self.p ** np.arange(self.m, dtype=np.int64))
-        object.__setattr__(self, "red", reduction_rows(self.residue.modulus, self.pm))
+        object.__setattr__(self, "red", reduction_rows(self.modulus, self.pm))
 
     @property
     def full_window(self) -> int:
         return self.m * self.e
 
     def reduce_wide(self, wide: np.ndarray) -> np.ndarray:
-        """Reduce rows of length 2f'-1 (the last axis) modulo h and p^m."""
+        """Reduce rows of length 2f'-1 (the last axis) modulo F and p^m."""
         f = self.fprime
         wide = wide % self.pm
         return (wide[..., :f] + wide[..., f:] @ self.red) % self.pm
 
     @cached_property
     def _frob_pows(self) -> list[np.ndarray]:
-        F1 = self._frobenius_matrix()
+        # phi is the power map X -> X^p: its matrix has columns (X^p)^j
+        xp = RingElt.monomial(self, 0, self.residue.gen) ** self.p
+        cols = [RingElt.one(self)]
+        for _ in range(self.fprime - 1):
+            cols.append(cols[-1] * xp)
+        F1 = np.stack([c.data[0] for c in cols], axis=1)
         pows = [np.eye(self.fprime, dtype=np.int64)]
         for _ in range(self.fprime - 1):
             pows.append((F1 @ pows[-1]) % self.pm)
         return pows
 
     def frobenius_power(self, k: int) -> np.ndarray:
-        """Matrix (columns = images of x^j) of phi^k (k mod f'), phi the
+        """Matrix (columns = images of X^j) of phi^k (k mod f'), phi the
         Frobenius lift on the coefficients."""
         return self._frob_pows[k % self.fprime]
 
-    def _frobenius_matrix(self) -> np.ndarray:
-        F, h = self.residue, self.residue.modulus
-        y = F.gen ** self.p
-        dh = F.zero  # h'(y) by Horner
-        for i in range(self.fprime, 0, -1):
-            dh = dh * y + F.from_int(i * h[i])
-        u = RingElt.monomial(self, 0, dh.inverse())
-        r = RingElt.monomial(self, 0, y)
-        for _ in range(self.m):
-            r = r - self._poly_at(h, r) * u
-        if np.any(self._poly_at(h, r).data):
-            raise InvariantViolation("Hensel lift failed")
-        cols = [RingElt.one(self)]
-        for _ in range(self.fprime - 1):
-            cols.append(cols[-1] * r)
-        return np.stack([c.data[0] for c in cols], axis=1)
 
-    def _poly_at(self, poly, z: "RingElt") -> "RingElt":
-        acc = RingElt.zero(self)
-        for c in reversed(poly):
-            acc = acc * z + RingElt.from_int(self, c)
-        return acc
+def _poly_at(poly, z: "RingElt") -> "RingElt":
+    """poly(z) by Horner's rule, poly a list of integers, constant first."""
+    acc = RingElt.zero(z.ring)
+    for c in reversed(poly):
+        acc = acc * z + RingElt.from_int(z.ring, c)
+    return acc
 
 
 def ring_create(p: int, fprime: int, e: int, prec: int | None = None) -> RingDesc:
@@ -133,7 +128,16 @@ def ring_create(p: int, fprime: int, e: int, prec: int | None = None) -> RingDes
         raise ValueError(
             f"coefficients modulo {p}^{m} at ramification {e} and residue "
             f"degree {fprime} overflow int64 arithmetic")
-    return RingDesc(p, fprime, e, prec, m, residue)
+    # the Teichmueller modulus F: the minimal polynomial of w(x), found in
+    # the ring presented by the plain lift h~ of h, one digit per step
+    plain = RingDesc(p, fprime, e, prec, m, tuple(residue.modulus), residue)
+    w = RingElt.teichmuller(plain, residue.gen)
+    F = list(residue.modulus)
+    for _ in range(m):
+        F = [int(c) for c in (F[:-1] - _poly_at(F, w).data[0]) % plain.pm] + [1]
+    if np.any(_poly_at(F, w).data):
+        raise InvariantViolation("the Teichmueller modulus does not vanish at w(x)")
+    return replace(plain, modulus=tuple(F))
 
 
 class RingElt:

@@ -106,11 +106,6 @@ def kernel(A, p: int) -> np.ndarray:
     return out
 
 
-def image(A, p: int) -> np.ndarray:
-    """Canonical row basis of the column space of A."""
-    return rref(as_fp(A, p).T, p)[0]
-
-
 def inv_mat(A, p: int) -> np.ndarray:
     A = as_fp(A, p)
     n = A.shape[0]
@@ -353,11 +348,6 @@ def _split_once(gens, p, rng, max_tries):
         f"module splitter exhausted {max_tries} attempts at dimension {dim}")
 
 
-def certify_simple(gens, p: int, seed: int = 0, max_tries: int = 200) -> bool:
-    rng = random.Random(seed)
-    return _split_once([as_fp(M, p) for M in gens], p, rng, max_tries) is None
-
-
 def chop(gens, p: int, seed: int = 0, max_tries: int = 200) -> list[Constituent]:
     """Composition factors with multiplicities, grouped up to isomorphism.
 
@@ -447,7 +437,7 @@ def enumerate_simple_submodules(gens_V, gens_S, end_degree: int,
     H = hom_space(gens_S, gens_V, p)
     if not H:
         return []
-    if not _is_simple(gens_S, p):
+    if not is_simple(gens_S, p):
         raise InvariantViolation("emitted subspace is not simple")
     stacked = np.stack(H)
     if any(np.any(mm(MV, stacked, p) != mm(stacked, MS, p)) for MV, MS in zip(gens_V, gens_S)):
@@ -481,9 +471,10 @@ def _line_representatives(n: int, p: int):
             yield v
 
 
-def _is_simple(sub_gens, p: int) -> bool:
+def is_simple(sub_gens, p: int) -> bool:
     """Whether a module, given by its action matrices, is simple: every
-    nonzero vector spins it up.  A line always is."""
+    nonzero vector spins it up, checked exhaustively on one vector per
+    line.  A line always is."""
     n = sub_gens[0].shape[0]
     return n == 1 or all(spin(sub_gens, v, p).shape[0] == n
                          for v in _line_representatives(n, p))
@@ -515,6 +506,6 @@ def brute_simple_submodules(gens_V, n: int, p: int):
         key = tuple(rows.ravel())
         if key in seen:
             continue
-        if _is_simple(restrict_action(gens_V, rows, p), p):
+        if is_simple(restrict_action(gens_V, rows, p), p):
             seen[key] = rows
     return [seen[k] for k in sorted(seen)]

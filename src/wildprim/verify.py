@@ -254,7 +254,7 @@ def duality_checks(result: EnumerationResult) -> VerificationReport:
         tw_p = (result.omega[tower.phi] * dual_p) % p
         ok_twist = p != 2 or (np.array_equal(tw_s, dual_s) and np.array_equal(tw_p, dual_p))
         ok_rel = relations_hold(tower, tw_s, tw_p)
-        ok_simple = modrep.certify_simple([tw_s, tw_p], p)
+        ok_simple = modrep.is_simple([tw_s, tw_p], p)
         polys = [modrep.charpoly(g, p) for g in (tw_s, tw_p)]
         matches = [c.identifier for c, cps in classes_n
                    if cps == polys and modrep.hom_space([tw_s, tw_p], c.gens(), p)]

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import random
 
 import numpy as np
@@ -521,3 +522,27 @@ def test_stacked_reduction_needs_every_window_past_the_boundary(q2n2):
     reduce_class(basis, stack + [RingElt(ring, short.data, basis.boundary_level + 1)])
     with pytest.raises(PrecisionExhausted):
         reduce_class(basis, stack + [RingElt(ring, short.data, basis.boundary_level)])
+
+
+# sha256 of the little-endian int64 bytes of the sigma and phi matrices;
+# coordinates in the filtration-adapted basis are unique, so these do not
+# depend on how the valuation ring is presented
+MATRIX_HASHES = [
+    (Q2, 3, "71708288d45d0eb82c63b350830b6889976ec2751feae7c58def5442498a3041",
+     "0265ec64eee806a7cb6fdb6d0bd538d1aef20f805984fd281c834d936ded9259"),
+    (Q3, 2, "8a72f505577a72ecdb6165553c18cec78735f17a0dab1cb5d14ef9ad4b40f3f9",
+     "e14e868462632e6ac13002c492955f445ba38b99fa85bf9c00173b1d8c99a4ed"),
+    (BaseField(2, 3, 0), 2, "ff8cfd7d41b0aefda2e66e394231bb347a2db844e8aba331d7e63c7dc9a9ec63",
+     "ef667a332fbb3548d4eec083b137ee420010cfa5fa6455f100726778ec04286c"),
+    (BaseField(7, 2, 0), 1, "e25664cb37d2087dd446025ba4e3b4ab071c53045acf87283bbd8c24c808943f",
+     "6b646f5a8eb03ce8ea5c513cca87c0739b464e68a16a35441eefe8c6f9cb6837"),
+]
+
+
+@pytest.mark.parametrize("base, n, sigma_hash, phi_hash", MATRIX_HASHES,
+                         ids=["Q2n3", "Q3n2", "Q8n2", "Q49n1"])
+def test_galois_matrices_are_pinned(base, n, sigma_hash, phi_hash):
+    tower = build_tower(base, n)
+    M = galois_matrices(kummer_basis(tower))
+    assert [hashlib.sha256(M[g].astype("<i8").tobytes()).hexdigest()
+            for g in (tower.sigma, tower.phi)] == [sigma_hash, phi_hash]

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -207,9 +208,9 @@ def test_frobenius_matrix_is_ring_hom():
 
 def _reference_mul(ring, a, b):
     """Product of two char-0 elements with Python integers: convolve in pi
-    and x, fold pi^e = p, reduce modulo the lifted residue modulus and p^m."""
+    and X, fold pi^e = p, reduce modulo the ring's modulus and p^m."""
     e, f, pm = ring.e, ring.fprime, ring.pm
-    h = ring.residue.modulus
+    F = ring.modulus
     wide = [[0] * (2 * f - 1) for _ in range(2 * e - 1)]
     for i in range(e):
         for j in range(e):
@@ -224,7 +225,7 @@ def _reference_mul(ring, a, b):
         for k in range(2 * f - 2, f - 1, -1):
             top, row[k] = row[k], 0
             for t in range(f):
-                row[k - f + t] -= top * h[t]
+                row[k - f + t] -= top * F[t]
         out[i] = [x % pm for x in row[:f]]
     return out
 
@@ -308,18 +309,58 @@ def test_teichmuller_matches_power_iteration(p, fprime, e):
 
 @pytest.mark.parametrize("p,fprime,e", RING_SHAPES)
 def test_frobenius_lift_is_the_hensel_root(p, fprime, e):
-    # h has one root mod p^m congruent to x^p mod p, so these two facts
-    # determine phi(x); h is evaluated with the Python-int product
+    # F has one root mod p^m congruent to x^p mod p, so these two facts
+    # determine phi(X); F is evaluated with the Python-int product
     ring = ring_create(p, fprime, e)
     F = ring.residue
     phi_x = (ring.frobenius_power(1) @ np.array(F.gen.coeffs, dtype=np.int64)) % ring.pm
     r = _coeff(ring, phi_x).data
     acc = np.zeros_like(r)
-    for c in reversed(F.modulus):
+    for c in reversed(ring.modulus):
         acc = _reference_mul(ring, acc, r)
         acc[0, 0] = (acc[0, 0] + c) % ring.pm
     assert not np.any(acc)
     assert FFElt(F, phi_x) == F.gen ** p
+
+
+@pytest.mark.parametrize("p,fprime,e", RING_SHAPES)
+def test_modulus_lifts_the_residue_modulus(p, fprime, e):
+    ring = ring_create(p, fprime, e)
+    assert len(ring.modulus) == fprime + 1 and ring.modulus[-1] == 1
+    assert [c % p for c in ring.modulus] == ring.residue.modulus
+
+
+@pytest.mark.parametrize("p,fprime,e", RING_SHAPES)
+def test_teichmuller_lift_of_a_power_basis_element_is_a_monomial(p, fprime, e):
+    # X = w(x) in the Teichmueller presentation, so w(x^j) = X^j
+    ring = ring_create(p, fprime, e)
+    F = ring.residue
+    for j in range(fprime):
+        xj = F.from_code(p ** j)
+        assert np.array_equal(RingElt.teichmuller(ring, xj).data,
+                              RingElt.monomial(ring, 0, xj).data)
+
+
+@pytest.mark.parametrize("p,fprime,e", RING_SHAPES)
+def test_frobenius_lift_is_the_power_map(p, fprime, e):
+    # column j of phi's matrix is (X^p)^j
+    ring = ring_create(p, fprime, e)
+    Fm = ring.frobenius_power(1)
+    xp = RingElt.monomial(ring, 0, ring.residue.gen) ** p
+    for j in range(fprime):
+        assert np.array_equal(Fm[:, j], (xp ** j).data[0])
+
+
+@pytest.mark.parametrize("p,fprime,e", RING_SHAPES)
+def test_presentations_do_not_mix(p, fprime, e):
+    # the ring presented by the plain lift of h is another ring, except for
+    # h = x (f' = 1), which is its own Teichmueller modulus
+    ring = ring_create(p, fprime, e)
+    plain = replace(ring, modulus=tuple(ring.residue.modulus))
+    assert (plain == ring) == (fprime == 1)
+    if fprime > 1:
+        with pytest.raises(ValueError, match="different rings"):
+            RingElt.one(plain) * RingElt.one(ring)
 
 
 def test_pow_matches_repeated_products(mixed_ring):

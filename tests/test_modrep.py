@@ -9,7 +9,7 @@ from wildprim.enumerator import simple_classes
 from wildprim.errors import InvariantViolation
 from wildprim.modrep import (
     brute_feasible, brute_simple_submodules, charpoly, chop,
-    enumerate_simple_submodules, hom_space, image, in_row_space, inv_mat,
+    enumerate_simple_submodules, hom_space, in_row_space, inv_mat,
     kernel, minpoly, poly_eval_matrix, quotient_action, rank, restrict_action,
     rref, solve, spin,
 )
@@ -569,17 +569,11 @@ def test_brute_matches_full_scan_at_p3():
             assert [tuple(r.ravel()) for r in brute] == sorted(full)
 
 
-def test_image_canonical():
-    A = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.int64).T
-    rows = image(A, 2)
-    assert rows.shape == (2, 3)
-
-
-def test_certify_simple_rejects_reducible():
-    assert not modrep.certify_simple(c3_regular_gens(), 2)
+def test_is_simple_rejects_reducible():
+    assert not modrep.is_simple(c3_regular_gens(), 2)
     classes = chop(c3_regular_gens(), 2)
     for c in classes:
-        assert modrep.certify_simple(c.gens, 2)
+        assert modrep.is_simple(c.gens, 2)
 
 
 def test_split_budget_reports_instead_of_looping():
