@@ -105,18 +105,16 @@ def _verify_suite(suite: str, seed: int):
     report = VerificationReport()
     report.extend(quadratic_catalog_check(seed))
     report.add("mass[Q_2]", mass_check(BaseField(2, 1, 0), seed=seed), 2)
-    towers = QUICK_TOWERS
+    towers = FULL_TOWERS if suite == "full" else QUICK_TOWERS
+    results = {(base, n): enumerate_primitive(base, n, level_bound=bound, seed=seed)
+               for base, n, bound in towers}
     if suite == "full":
         report.add("mass[Q_4]", mass_check(BaseField(2, 2, 0), seed=seed), 2)
         report.add("mass[Q_3]", mass_check(BaseField(3, 1, 0), seed=seed), 3)
-        towers = FULL_TOWERS
-        res = enumerate_primitive(BaseField(2, 1, 0), 3, seed=seed)
-        report.add("count[Q_2,n=3]", len(res.records), 16)
-        res4 = enumerate_primitive(BaseField(2, 2, 0), 2, seed=seed)
-        report.add("no-S4[Q_4,n=2]",
-                   sorted(set(r.closure_order for r in res4.records)), [12])
-    for base, n, bound in towers:
-        result = enumerate_primitive(base, n, level_bound=bound, seed=seed)
+        report.add("count[Q_2,n=3]", len(results[BaseField(2, 1, 0), 3].records), 16)
+        res4 = results[BaseField(2, 2, 0), 2]
+        report.add("no-S4[Q_4,n=2]", sorted(set(r.closure_order for r in res4.records)), [12])
+    for result in results.values():
         report.extend(structure_checks(result))
         heavy = result.basis.dim > 30
         report.extend(cross_checks(result, precision=not heavy or suite == "full"))

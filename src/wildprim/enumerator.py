@@ -35,7 +35,7 @@ from .classmod import (ClassBasis, artinschreier_basis, filtration_index,
                        galois_matrices, kummer_basis, level_of,
                        omega_character)
 from .errors import InvariantViolation
-from .finitefield import field_create, find_generator, mult_order
+from .finitefield import field_create, first_element_of_order, mult_order
 from .tower import BaseField, TameTower, build_tower
 
 
@@ -120,7 +120,7 @@ def simple_classes(tower: TameTower) -> list[SimpleClassInfo]:
     L = _pprime_part(se, p)
     r = mult_order(p, L)
     F = field_create(p, r)
-    omega = find_generator(F) ** ((F.order - 1) // L)
+    omega = first_element_of_order(F, L)
     zeta = omega ** (L // e)
     qinv = pow(q, -1, e)
 
@@ -259,15 +259,18 @@ def closure_descriptor(tower: TameTower, rho_sigma: np.ndarray, rho_phi: np.ndar
     """(image order, closure order, label) from the twisted dual action on D.
 
     The wild part of the closure group has order p^n; the tame image is the
-    matrix group generated by the twisted dual action (literally the
-    inverse-transpose for p = 2, where the twist character is trivial).
-    Each parameter subspace of class S is the image of an injective map C,
-    equivariant by enumerate_simple_submodules's once-per-class check, so it
-    acts by C rho_S C^-1 with one C for both generators: its descriptor is S's.
+    matrix group generated by the twisted dual action omega(g) rho(g)^-T
+    (the inverse-transpose for p = 2, where the twist character is trivial).
+    X -> X^-T is an automorphism of GL_n(F_p) sending omega^-1 rho to
+    omega rho^-T, so the matrices omega(g)^-1 rho(g) generate a group of the
+    same order, and the search over it inverts no matrix.  Each parameter
+    subspace of class S is the image of an injective map C, equivariant by
+    enumerate_simple_submodules's once-per-class check, so it acts by
+    C rho_S C^-1 with one C for both generators: its descriptor is S's.
     """
     p = tower.p
     n = rho_sigma.shape[0]
-    twisted = [(omega[g] * modrep.inv_mat(M, p).T) % p
+    twisted = [(pow(omega[g], -1, p) * M) % p
                for g, M in ((tower.sigma, rho_sigma), (tower.phi, rho_phi))]
     image_order = _matrix_group_order(twisted, p)
     closure_order = p ** n * image_order

@@ -264,19 +264,6 @@ def abs_trace(x: FFElt) -> int:
     return int(modrep.mm(row, np.array(x.coeffs, dtype=np.int64), F.p))
 
 
-def find_generator(F: FiniteField) -> FFElt:
-    """First element (value order) of maximal multiplicative order q - 1."""
-    target = F.order - 1
-    if target == 1:
-        return F.one
-    primes = gfpoly._prime_divisors(target)
-    for code in range(1, F.order):
-        x = F.from_code(code)
-        if all(x ** (target // ell) != F.one for ell in primes):
-            return x
-    raise RuntimeError("unreachable: the unit group is cyclic")
-
-
 def first_element_of_order(F: FiniteField, e: int) -> FFElt:
     """First element (value order) of exact multiplicative order e.
 

@@ -85,12 +85,6 @@ def gcd(f, g, p):
     return monic(f, p)
 
 
-def lcm(f, g, p):
-    if not f or not g:
-        return []
-    return monic(divmod_poly(mul(f, g, p), gcd(f, g, p), p)[0], p)
-
-
 def pow_mod(f, e: int, m, p):
     """f^e mod m by square and multiply."""
     result = [1]

@@ -9,10 +9,17 @@ deterministic ordering.  Every F_p product is one call of mm: int64 below
 an inner width of BLAS_WIDTH, float64 on BLAS from there on, exact while
 width * (p - 1)^2 < 2^53 (Dumas, Giorgi, Pernet 2008), else InvariantViolation.
 
+minpoly comes from the characteristic polynomial (Hessenberg reduction):
+each irreducible factor g of it, to the power k at which the rank of g(M)^k
+stops falling.
+
 The module splitter (chop) is the usual randomized MeatAxe with Norton's
-irreducibility certificate, driven by a caller-supplied seed.  The pipeline
-builds its simple modules in closed form and never calls it; chop is the
-reference implementation the simple-class oracle in verify compares against.
+irreducibility certificate, driven by a caller-supplied seed.  It splits V
+at a submodule U into U and V/U.  V/U is dual to the annihilator of U, which
+the transposed generators keep stable, so its action is the transpose of
+theirs there.  The pipeline builds its simple modules in closed form and
+never calls chop; it is the reference implementation the simple-class
+oracle in verify compares against.
 
 The simple submodules of V isomorphic to a simple S are the images of the
 nonzero maps in Hom(S, V), which hom_space solves by condensation at the
@@ -34,6 +41,7 @@ from . import gfpoly
 from .errors import InvariantViolation, IterationBudgetExceeded
 
 BLAS_WIDTH = 32  # from this inner width on float64 wins (2-core host)
+MAX_HOM_LINES = 1 << 18  # admits Q_{2^16}, n = 1: 2^18 - 1 lines, the largest scan
 
 
 def as_fp(A, p: int) -> np.ndarray:
@@ -125,21 +133,19 @@ def poly_eval_matrix(f: list[int], M: np.ndarray, p: int) -> np.ndarray:
     return out % p
 
 
-def _echelon_insert(rows: list, pivots: list, v: np.ndarray, p: int,
-                    width: int | None = None) -> tuple[np.ndarray, bool]:
+def _echelon_insert(rows: list, pivots: list, v: np.ndarray, p: int) -> tuple[np.ndarray, bool]:
     """Reduce v against echelon rows; returns (remainder, inserted).
 
     rows are kept in reduced row echelon form: sorted by pivot, entry 1 at
     their own pivot and 0 at every other row's pivot, so one pass zeroes
-    every pivot column of the remainder.  When the remainder has a nonzero
-    entry among its first `width` entries (all by default), a normalised
-    copy is inserted with the first of them as its pivot and cleared from
-    the other rows; width=0 therefore only reduces.  v is never modified.
+    every pivot column of the remainder.  A nonzero remainder is inserted,
+    normalised, with its first nonzero entry as pivot and cleared from the
+    other rows.  v is never modified.
     """
     for row, pc in zip(rows, pivots):
         if v[pc]:
             v = (v - v[pc] * row) % p
-    nz = np.flatnonzero(v[:width])
+    nz = np.flatnonzero(v)
     if nz.size == 0:
         return v, False
     pc = int(nz[0])
@@ -154,41 +160,21 @@ def _echelon_insert(rows: list, pivots: list, v: np.ndarray, p: int,
 
 
 def minpoly(M, p: int) -> list[int]:
-    """Minimal polynomial, as the lcm of vector-local minimal polynomials.
-
-    Seeds whose Krylov space is already contained in the span explored so
-    far are skipped; that span is an invariant subspace, so their local
-    polynomial divides the accumulated lcm.
-    """
+    """Minimal polynomial: each irreducible factor g of the characteristic
+    polynomial, to the power k at which the rank of g(M)^k stops falling
+    (the nilpotency index of g(M) on the g-primary part)."""
     M = as_fp(M, p)
-    n = M.shape[0]
-    acc = [1]
-    seen_rows: list[np.ndarray] = []
-    seen_pivots: list[int] = []
-    for start in range(n):
-        if len(acc) - 1 == n:
-            break
-        w = np.zeros(n, dtype=np.int64)
-        w[start] = 1
-        if not _echelon_insert(seen_rows, seen_pivots, w, p)[1]:
-            continue
-        # Krylov rows [M^k w_0 | x^k] for the seed w_0: once the first n
-        # entries reduce to zero, the tail holds its local minimal polynomial
-        rows: list[np.ndarray] = []
-        pivots: list[int] = []
-        k = 0
+    out = [1]
+    for g in gfpoly.distinct_irreducible_factors(charpoly(M, p), p):
+        G = power = poly_eval_matrix(g, M, p)
+        r = rank(G, p)
         while True:
-            rec = np.concatenate([w, np.zeros(n + 1, dtype=np.int64)])
-            rec[n + k] = 1
-            red, inserted = _echelon_insert(rows, pivots, rec, p, width=n)
-            if not inserted:
-                local = gfpoly.monic(gfpoly.trim([int(c) for c in red[n:n + k + 1]]), p)
+            out = gfpoly.mul(out, g, p)
+            power = mm(power, G, p)
+            r, prev = rank(power, p), r
+            if r == prev:
                 break
-            w = mm(M, w[:, None], p).ravel()
-            _echelon_insert(seen_rows, seen_pivots, w, p)
-            k += 1
-        acc = gfpoly.lcm(acc, local, p)
-    return acc
+    return out
 
 
 def charpoly(M, p: int) -> list[int]:
@@ -287,24 +273,6 @@ def restrict_action(gens, rows: np.ndarray, p: int) -> list[np.ndarray]:
     return np.split(R[:, k:], len(gens), axis=1)
 
 
-def quotient_action(gens, rows: np.ndarray, p: int):
-    """Action on V / span(rows): returns (matrices, projection).
-
-    projection maps an ambient vector to its quotient coordinates (the free
-    coordinates after reduction against the echelon rows).
-    """
-    dim = gens[0].shape[0]
-    ech, pivots = _echelon(rows, p)
-    free = [c for c in range(dim) if c not in pivots]
-
-    def project(v: np.ndarray) -> np.ndarray:
-        return _echelon_insert(ech, pivots, as_fp(v, p).reshape(-1), p, width=0)[0][free]
-
-    mats = [np.array([project(M[:, fc]) for fc in free], dtype=np.int64)
-            .reshape(len(free), len(free)).T for M in gens]
-    return mats, project
-
-
 @dataclass
 class Constituent:
     """One isomorphism class of composition factor."""
@@ -331,7 +299,7 @@ def _split_once(gens, p, rng, max_tries):
         return None
     for attempt in range(max_tries):
         theta = _random_algebra_element(gens, p, rng, complexity=1 + attempt // 8)
-        for factor in gfpoly.distinct_irreducible_factors(minpoly(theta, p), p):
+        for factor in gfpoly.distinct_irreducible_factors(charpoly(theta, p), p):
             W = kernel(poly_eval_matrix(factor, theta, p), p)
             for w in W:
                 U = spin(gens, w, p)
@@ -366,7 +334,9 @@ def chop(gens, p: int, seed: int = 0, max_tries: int = 200) -> list[Constituent]
         U = _split_once(current, p, rng, max_tries)
         if U is not None:
             stack.append(restrict_action(current, U, p))
-            stack.append(quotient_action(current, U, p)[0])
+            # V/U is dual to the annihilator of U under the transposes
+            stack.append([A.T for A in restrict_action([M.T for M in current],
+                                                        kernel(U, p), p)])
             continue
         for cls in classes:
             if cls.dim == dim and hom_space(current, cls.gens, p):
@@ -431,12 +401,16 @@ def enumerate_simple_submodules(gens_V, gens_S, end_degree: int,
     injectivity of every map are checked.  Once per call, S is checked to
     be simple and every basis map of H to be equivariant; an injective
     equivariant image of a simple S is stable and simple, so no image is
-    restricted or spun.
+    restricted or spun.  A scan of more than MAX_HOM_LINES lines is refused
+    with ValueError before the lines are built.
     """
     n = gens_S[0].shape[0]
     H = hom_space(gens_S, gens_V, p)
     if not H:
         return []
+    if (p ** len(H) - 1) // (p - 1) > MAX_HOM_LINES:
+        raise ValueError(f"Hom(S, V) has dimension {len(H)} over F_{p}: "
+                         f"too many lines to scan (at most {MAX_HOM_LINES})")
     if not is_simple(gens_S, p):
         raise InvariantViolation("emitted subspace is not simple")
     stacked = np.stack(H)

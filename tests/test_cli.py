@@ -164,6 +164,19 @@ def test_precision_below_one_is_a_usage_error(precision, char_args, tmp_path,
     assert "precision" in capsys.readouterr().err
 
 
+def test_exponential_hom_scan_is_refused(tmp_path, monkeypatch, capsys):
+    # Q_{2^17}, n = 1: Hom(S, V) has dimension 19, 2^19 - 1 lines to scan
+    from wildprim import modrep
+
+    def forbidden(*args):
+        raise AssertionError("the line table was built")
+    monkeypatch.setattr(modrep, "_line_representatives", forbidden)
+    code = run(["enumerate", "--p", "2", "--f", "17", "--char", "0", "--n", "1"],
+               tmp_path, monkeypatch)
+    assert code == 1
+    assert "too many lines to scan" in capsys.readouterr().err
+
+
 def test_verify_quick_suite(tmp_path, monkeypatch, capsys):
     report_path = tmp_path / "report.json"
     code = run(["verify", "--suite", "quick", "--out", str(report_path)],

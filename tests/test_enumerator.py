@@ -315,6 +315,39 @@ def test_closure_is_a_class_invariant(base, n, bound):
             r.closure_image_order, r.closure_order, r.closure_label)
 
 
+@pytest.mark.parametrize("base,n,bound", [
+    (Q2, 3, None), (Q3, 2, None), (BaseField(7, 1, 0), 1, None),
+    (BaseField(2, 2, 2), 2, 5),
+], ids=["Q_2,n=3", "Q_3,n=2", "Q_7,n=1", "F_4((t)),n=2,B=5"])
+def test_closure_order_is_that_of_the_twisted_dual(monkeypatch, base, n, bound):
+    # the image order is that of the group generated by omega(g) rho(g)^-T,
+    # searched here directly; the pipeline itself inverts no matrix
+    from wildprim.enumerator import closure_descriptor
+    inv_mat = modrep.inv_mat
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the pipeline inverted a matrix")
+    monkeypatch.setattr(modrep, "inv_mat", forbidden)
+    res = enumerate_primitive(base, n, level_bound=bound)
+    tower, p = res.tower, res.tower.p
+    classes = [c for c in res.classes if c.dim == n]
+    assert classes
+    for c in classes:
+        gens = [res.omega[g] * inv_mat(M, p).T % p
+                for g, M in ((tower.sigma, c.sigma), (tower.phi, c.phi))]
+        eye = np.eye(n, dtype=np.int64)
+        seen, frontier = {eye.tobytes()}, [eye]
+        while frontier:
+            M = frontier.pop()
+            for G in gens:
+                nxt = G @ M % p
+                if nxt.tobytes() not in seen:
+                    seen.add(nxt.tobytes())
+                    frontier.append(nxt)
+        assert closure_descriptor(tower, c.sigma, c.phi, res.omega)[:2] == (
+            len(seen), p ** n * len(seen))
+
+
 def test_catalog_deterministic_across_seeds():
     a = enumerate_primitive(Q2, 2, seed=0, use_cache=False)
     b = enumerate_primitive(Q2, 2, seed=3, use_cache=False)

@@ -10,8 +10,8 @@ from wildprim.errors import InvariantViolation
 from wildprim.modrep import (
     brute_feasible, brute_simple_submodules, charpoly, chop,
     enumerate_simple_submodules, hom_space, in_row_space, inv_mat,
-    kernel, minpoly, poly_eval_matrix, quotient_action, rank, restrict_action,
-    rref, solve, spin,
+    kernel, minpoly, poly_eval_matrix, rank, restrict_action, rref, solve,
+    spin,
 )
 from wildprim.tower import BaseField, build_tower
 
@@ -181,6 +181,54 @@ def test_charpoly_random_matches_eigen_structure():
             assert gfpoly.mod(cp, minpoly(A, p), p) == []
 
 
+def least_monic_annihilator(M, p):
+    """Exhaustive search, degree by degree and in value order, with the
+    polynomial evaluated as a plain sum of matrix powers."""
+    n = M.shape[0]
+    powers = [np.eye(n, dtype=np.int64)]
+    for _ in range(n):
+        powers.append(powers[-1] @ M % p)
+    for d in range(n + 1):
+        for code in range(p ** d):
+            f = [(code // p ** i) % p for i in range(d)] + [1]
+            if not np.any(sum(c * P for c, P in zip(f, powers)) % p):
+                return f
+
+
+def jordan(blocks):
+    """Block-diagonal matrix of Jordan blocks, given as (eigenvalue, size)."""
+    n = sum(size for _, size in blocks)
+    J = np.zeros((n, n), dtype=np.int64)
+    at = 0
+    for lam, size in blocks:
+        for i in range(size):
+            J[at + i, at + i] = lam
+            if i:
+                J[at + i - 1, at + i] = 1
+        at += size
+    return J
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_minpoly_is_the_least_monic_annihilator_of_every_2x2(p):
+    for code in range(p ** 4):
+        M = np.array([(code // p ** i) % p for i in range(4)], dtype=np.int64).reshape(2, 2)
+        assert minpoly(M, p) == least_monic_annihilator(M, p)
+
+
+@pytest.mark.parametrize("p,M", [
+    (2, jordan([(1, 1)] * 2)), (3, jordan([(1, 1)] * 3)),  # I_p: charpoly (x - 1)^p
+    (2, jordan([(1, 2)])), (2, jordan([(1, 2), (1, 1), (1, 1)])),
+    (2, jordan([(1, 2), (1, 2)])), (2, jordan([(0, 2), (0, 2)])),
+    (3, jordan([(1, 3)])), (3, jordan([(2, 2), (2, 1)])),
+    (3, jordan([(0, 3), (0, 3)])), (3, jordan([(1, 2), (2, 3)])),
+    # (x^2 + x + 1)^2 over F_2: an irreducible factor of degree 2, twice
+    (2, np.kron(np.eye(2, dtype=np.int64), [[0, 1], [1, 1]])),
+])
+def test_minpoly_when_p_divides_a_multiplicity(p, M):
+    assert minpoly(M, p) == least_monic_annihilator(M, p)
+
+
 def test_chop_c3_regular_over_f2():
     classes = chop(c3_regular_gens(), 2)
     dims = sorted((c.dim, c.multiplicity) for c in classes)
@@ -191,6 +239,16 @@ def test_chop_trivial_group_on_f2_cubed():
     classes = chop([np.eye(3, dtype=np.int64)], 2)
     assert len(classes) == 1
     assert classes[0].dim == 1 and classes[0].multiplicity == 3
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_chop_of_a_regular_module_that_does_not_split(p):
+    # F_p[C_p] is uniserial with trivial factors: one class of multiplicity p
+    shift = np.roll(np.eye(p, dtype=np.int64), 1, axis=0)
+    for seed in (0, 1, 2):
+        [cls] = chop([shift], p, seed=seed)
+        assert (cls.dim, cls.multiplicity) == (1, p)
+        assert np.array_equal(cls.gens[0], [[1]])
 
 
 def test_chop_multiplicities_seed_invariant():
@@ -433,21 +491,15 @@ def test_echelon_routines_match_rref_on_random_input():
             v = rng.integers(0, p, dim)
             assert in_row_space(rows, v, p) == (
                 rank(np.vstack([rows, v]), p) == rank(rows, p))
-            # projection: v reduced against the rref rows, at free columns
-            R, pivots = rref(rows, p)
-            reduced = v
-            for row, pc in zip(R, pivots):
-                reduced = (reduced - reduced[pc] * row) % p
-            M = rng.integers(0, p, (dim, dim))
-            _, project = quotient_action([M], rows, p)
+            pivots = rref(rows, p)[1]
             free = [c for c in range(dim) if c not in pivots]
-            assert np.array_equal(project(v), reduced[free])
             # kernel: null vectors with the identity at the free columns, which
             # determines each of them
             K = kernel(rows, p)
             assert K.shape == (len(free), dim) and not np.any(rows @ K.T % p)
             assert np.array_equal(K[:, free], np.eye(len(free), dtype=np.int64))
             # minpoly: monic, annihilates M, and no proper divisor does
+            M = rng.integers(0, p, (dim, dim))
             mp = minpoly(M, p)
             assert mp[-1] == 1 and not np.any(poly_eval_matrix(mp, M, p))
             for g in gfpoly.distinct_irreducible_factors(mp, p):
