@@ -7,9 +7,9 @@ a_j = x^j and per index 1 <= i < p*e/(p-1) prime to p (w = Teichmueller
 lift, w(x^j) = X^j in the ring's presentation, see localring), and one
 boundary vector at index p*e/(p-1) whose residue coefficient is
 b_0 = x^j, the first element (value order) outside the image of
-a -> a^p + c a, c the residue of p / pi^e: j is the first nonzero
-coordinate of the functional cutting out that corank-1 image.  Total
-dimension = [top : Q_p] + 2.
+a -> a^p + c a, c = 1 the residue of p / pi^e (pi^e = p in the ring): j
+is the first nonzero coordinate of the functional cutting out that
+corank-1 image.  Total dimension = [top : Q_p] + 2.
 
 Equal characteristic: the additive group modulo x^p - x, materialized up
 to a pole-order bound B: one constant vector c_0 = T(x^j)^{-1} x^j, the
@@ -110,9 +110,8 @@ def kummer_basis(tower: TameTower) -> ClassBasis:
             vectors.append(BasisVector(
                 "unit-level", i, j, one + RingElt.monomial(ring, i, F.from_code(p ** j))))
 
-    # boundary data: the twisted equation x^p + c_res x = a decides solvability
-    c_res = RingElt.from_int(ring, p).digit(e)
-    as_matrix = F.linear_matrix(lambda t: t ** p + c_res * t)
+    # boundary data: x^p + c x = a decides solvability, c = p / pi^e = 1
+    as_matrix = F.linear_matrix(lambda t: t ** p + t)
     # the functional cutting out the image is the left kernel of as_matrix
     left = modrep.kernel(as_matrix.T, p)
     if left.shape[0] != 1:
@@ -215,7 +214,7 @@ def _reduce_kummer(basis: ClassBasis, xs: list[RingElt]) -> np.ndarray:
         # p^(lv // e) and the quotient's residue is the level-lv digit
         digits = (U[:, lv % e] - one.data[lv % e]) % ring.pm // p ** (lv // e) % p
         if lv == bl:
-            # the one tau with a - tau*b0 in the image of t -> t^p + c_res*t,
+            # the one tau with a - tau*b0 in the image of t -> t^p + t (c = 1),
             # the kernel of the cokernel functional; one solve for all a
             b0 = np.array(basis.aux["b0"].coeffs)
             tau = modrep.mm(digits, basis.aux["functional"], p)
@@ -223,7 +222,7 @@ def _reduce_kummer(basis: ClassBasis, xs: list[RingElt]) -> np.ndarray:
             sols = modrep.solve(basis.aux["as_matrix"], rhs.T, p).T
             strip(bl, "boundary", 0, tau)
             # a != 0 forces tau > 0 or sol != 0, so the strip is never
-            # trivial; (1 - sol pi^c)^p has level-bl digit -(sol^p + c_res*sol)
+            # trivial; (1 - sol pi^c)^p has level-bl digit -(sol^p + sol)
             for i in np.flatnonzero(sols.any(1)):
                 sol = FFElt(F, sols[i])
                 times(i, (one + RingElt.monomial(ring, basis.c_index, -sol)).pth_power())
@@ -259,18 +258,13 @@ def _reduce_artinschreier(basis: ClassBasis, x: Laurent) -> np.ndarray:
         a = work.pop(k)
         i = -k
         if i % p == 0:
-            b = pth_root(a)
+            # i >= p, so the pole order i / p of the p-th root stays positive
             k2 = -(i // p)
-            if k2 == 0:
-                coords[basis.position("constant", 0)] = (
-                    coords[basis.position("constant", 0)] + abs_trace(b)) % p
+            s = work.get(k2, F.zero) + pth_root(a)
+            if s.is_zero():
+                work.pop(k2, None)
             else:
-                prev = work.get(k2, F.zero)
-                s = prev + b
-                if s.is_zero():
-                    work.pop(k2, None)
-                else:
-                    work[k2] = s
+                work[k2] = s
             continue
         if i > B:
             raise InvariantViolation(

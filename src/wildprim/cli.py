@@ -4,9 +4,9 @@
     wildprim reps --p 2 --f 1 --char 0 --n 2
     wildprim verify --suite quick|full [--out F]
 
-Exit codes: 0 success, 1 verification failure or usage error, 2 invariant
-violation, 3 precision exhaustion.  enumerate --seed is recorded in the catalog
-metadata and changes no computation.
+Exit codes: 0 success, 1 verification failure, usage error or write error,
+2 invariant violation, 3 precision exhaustion.  enumerate --seed is recorded
+in the catalog metadata and changes no computation.
 """
 
 from __future__ import annotations
@@ -116,8 +116,7 @@ def _verify_suite(suite: str, seed: int):
         report.add("no-S4[Q_4,n=2]", sorted(set(r.closure_order for r in res4.records)), [12])
     for result in results.values():
         report.extend(structure_checks(result))
-        heavy = result.basis.dim > 30
-        report.extend(cross_checks(result, precision=not heavy or suite == "full"))
+        report.extend(cross_checks(result))
         if suite == "full":
             report.extend(simple_classes_oracle_check(result.tower, seed))
     return report
@@ -150,7 +149,7 @@ def main(argv=None) -> int:
     except PrecisionExhausted as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 1

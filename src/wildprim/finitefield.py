@@ -45,6 +45,20 @@ def mult_order(a: int, modulus: int) -> int:
     return k
 
 
+def _prime_divisors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -129,10 +143,7 @@ class FFElt:
 
     def code(self) -> int:
         """Position in the deterministic element enumeration."""
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * self.field.p + c
-        return out
+        return gfpoly.poly_code(self.coeffs, self.field.p)
 
     def _check(self, other):
         if not isinstance(other, FFElt) or other.field != self.field:
@@ -172,7 +183,7 @@ class FiniteField:
             return [0, 1]  # x
         for code in range(p ** f):
             coeffs = [(code // p ** i) % p for i in range(f)] + [1]
-            # a root in F_p is a linear factor: skip the Rabin test
+            # a root in F_p is a linear factor: skip the Berlekamp test
             if all(sum(c * a ** i for i, c in enumerate(coeffs)) % p
                    for a in range(p)) and gfpoly.is_irreducible(coeffs, p):
                 return coeffs
@@ -280,7 +291,7 @@ def first_element_of_order(F: FiniteField, e: int) -> FFElt:
     j = mult_order(p, e)
     rows = modrep.kernel(F.frobenius_power(j) - np.eye(F.f, dtype=np.int64), p)
     cofactor = (p ** j - 1) // e
-    primes = gfpoly._prime_divisors(e)
+    primes = _prime_divisors(e)
     for code in range(1, p ** j):
         digits = np.array([(code // p ** i) % p for i in range(j)], dtype=np.int64)
         z = FFElt(F, modrep.mm(digits, rows, p)) ** cofactor

@@ -1,10 +1,13 @@
 """Univariate polynomial arithmetic over the prime field F_p.
 
 Polynomials are lists of ints in [0, p), low degree first, trimmed so the
-last entry is nonzero (the zero polynomial is the empty list).  Everything
-here is deterministic; the Berlekamp splitter tries the c in F_p in
-ascending order and factor lists are sorted by the value code
-sum(c_i * p^i), the canonical ordering used across the package.
+last entry is nonzero (the zero polynomial is the empty list).  One
+Berlekamp algebra {b : b^p = b mod f} serves both polynomial decisions
+(Berlekamp 1967): a squarefree f is irreducible exactly when the algebra is
+F_p alone, and otherwise its elements split f.  Everything here is
+deterministic; the splitter tries the c in F_p in ascending order and
+factor lists are sorted by the value code sum(c_i * p^i), the canonical
+ordering used across the package.
 """
 
 from __future__ import annotations
@@ -102,31 +105,9 @@ def derivative(f, p):
 
 
 def is_irreducible(f, p) -> bool:
-    """Rabin test: x^(p^n) = x mod f and gcd(x^(p^(n/l)) - x, f) = 1."""
-    n = len(f) - 1
-    if n < 1:
-        return False
-    x = [0, 1]
-    if sub(pow_mod(x, p ** n, f, p), x, p):
-        return False
-    for ell in _prime_divisors(n):
-        if gcd(sub(pow_mod(x, p ** (n // ell), f, p), x, p), f, p) != [1]:
-            return False
-    return True
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    """f is squarefree and its Berlekamp algebra is one-dimensional."""
+    return (len(f) > 1 and gcd(f, derivative(f, p), p) == [1]
+            and len(_berlekamp_fixed(f, p)) == 1)
 
 
 def _pth_root_substitute(f, p):
@@ -134,22 +115,24 @@ def _pth_root_substitute(f, p):
     return trim([f[i] for i in range(0, len(f), p)])
 
 
-def _berlekamp_split(f, p):
-    """Distinct monic irreducible factors of a squarefree monic f."""
+def _berlekamp_fixed(f, p):
+    """Basis of the Berlekamp algebra {b : b^p = b mod f}, the kernel of
+    Q - I with row i of Q the coefficients of x^(p*i) mod f."""
     from .modrep import kernel  # modrep imports this module
     d = len(f) - 1
-    if d <= 1:
-        return [f]
-    # Berlekamp subalgebra {b : b^p = b mod f}; row i of Q is x^(p*i) mod f.
     xp = pow_mod([0, 1], p, f, p)
-    rows = []
-    cur = [1]
+    rows, cur = [], [1]
     for _ in range(d):
         rows.append(cur + [0] * (d - len(cur)))
         cur = mod(mul(cur, xp, p), f, p)
     q_minus_i_t = [[(rows[i][j] - (1 if i == j else 0)) % p for i in range(d)]
                    for j in range(d)]
-    fixed = [trim([int(c) for c in v]) for v in kernel(q_minus_i_t, p)]
+    return [trim([int(c) for c in v]) for v in kernel(q_minus_i_t, p)]
+
+
+def _berlekamp_split(f, p):
+    """Distinct monic irreducible factors of a squarefree monic f."""
+    fixed = _berlekamp_fixed(f, p)
     if len(fixed) == 1:
         return [f]
     b = next(v for v in fixed if len(v) > 1)

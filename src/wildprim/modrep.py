@@ -9,10 +9,6 @@ deterministic ordering.  Every F_p product is one call of mm: int64 below
 an inner width of BLAS_WIDTH, float64 on BLAS from there on, exact while
 width * (p - 1)^2 < 2^53 (Dumas, Giorgi, Pernet 2008), else InvariantViolation.
 
-minpoly comes from the characteristic polynomial (Hessenberg reduction):
-each irreducible factor g of it, to the power k at which the rank of g(M)^k
-stops falling.
-
 The module splitter (chop) is the usual randomized MeatAxe with Norton's
 irreducibility certificate, driven by a caller-supplied seed.  It splits V
 at a submodule U into U and V/U.  V/U is dual to the annihilator of U, which
@@ -23,9 +19,10 @@ oracle in verify compares against.
 
 The simple submodules of V isomorphic to a simple S are the images of the
 nonzero maps in Hom(S, V), which hom_space solves by condensation at the
-first generator (Lux, Mueller, Ringe 1994).  enumerate_simple_submodules
-takes one map per F_p-line of that space and groups the maps by image; it
-needs the End degree of S, which the caller knows, and never builds End(S).
+characteristic polynomial of the first generator on S (Lux, Mueller, Ringe
+1994).  enumerate_simple_submodules takes one map per F_p-line of that
+space and groups the maps by image; it needs the End degree of S, which
+the caller knows, and never builds End(S).
 """
 
 from __future__ import annotations
@@ -157,24 +154,6 @@ def _echelon_insert(rows: list, pivots: list, v: np.ndarray, p: int) -> tuple[np
     rows.insert(idx, new)
     pivots.insert(idx, pc)
     return v, True
-
-
-def minpoly(M, p: int) -> list[int]:
-    """Minimal polynomial: each irreducible factor g of the characteristic
-    polynomial, to the power k at which the rank of g(M)^k stops falling
-    (the nilpotency index of g(M) on the g-primary part)."""
-    M = as_fp(M, p)
-    out = [1]
-    for g in gfpoly.distinct_irreducible_factors(charpoly(M, p), p):
-        G = power = poly_eval_matrix(g, M, p)
-        r = rank(G, p)
-        while True:
-            out = gfpoly.mul(out, g, p)
-            power = mm(power, G, p)
-            r, prev = rank(power, p), r
-            if r == prev:
-                break
-    return out
 
 
 def charpoly(M, p: int) -> list[int]:
@@ -351,17 +330,19 @@ def chop(gens, p: int, seed: int = 0, max_tries: int = 200) -> list[Constituent]
 def hom_space(gens_S, gens_V, p: int) -> list[np.ndarray]:
     """Basis of equivariant maps S -> V as (dim V x dim S) matrices.
 
-    Condensation at the first generator g: with m its minimal polynomial on
-    S, every equivariant X has m(g_V) X = X m(g_S) = 0, so X = W^T Y for the
-    rows W of ker m(g_V), a g_V-stable subspace.  The Y (k x n) commuting
-    with g are one kernel of kron(g_W, I_n) - kron(I_k, g_S^T) on the
-    row-major vec(Y); each further generator keeps the combinations of
+    Condensation at the first generator g: its characteristic polynomial c
+    on S has c(g_S) = 0 (Cayley-Hamilton), so every equivariant X has
+    c(g_V) X = X c(g_S) = 0 and X = W^T Y for the rows W of ker c(g_V), a
+    g_V-stable subspace; for a semisimple g (order prime to p, as sigma in
+    the pipeline) it is the kernel at the minimal polynomial.  The Y (k x n)
+    commuting with g are one kernel of kron(g_W, I_n) - kron(I_k, g_S^T) on
+    the row-major vec(Y); each further generator keeps the combinations of
     those candidates whose vectorised g_V X - X g_S vanishes.  No relation
     among the generators, semisimplicity or cyclic S is assumed.
     """
     gens_S = [as_fp(M, p) for M in gens_S]
     gens_V = [as_fp(M, p) for M in gens_V]
-    W = kernel(poly_eval_matrix(minpoly(gens_S[0], p), gens_V[0], p), p)
+    W = kernel(poly_eval_matrix(charpoly(gens_S[0], p), gens_V[0], p), p)
     k, n = W.shape[0], gens_S[0].shape[0]
     if k == 0:
         return []

@@ -177,6 +177,21 @@ def test_exponential_hom_scan_is_refused(tmp_path, monkeypatch, capsys):
     assert "too many lines to scan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["enumerate", "verify"])
+def test_an_unwritable_out_path_is_an_error(command, tmp_path, monkeypatch, capsys):
+    # the write fails after the run: exit 1 with a message, no traceback
+    from wildprim import cli
+    from wildprim.verify import VerificationReport
+    monkeypatch.setattr(cli, "_verify_suite", lambda suite, seed: VerificationReport())
+    args = (["enumerate", "--p", "2", "--f", "1", "--char", "0", "--n", "1"]
+            if command == "enumerate" else ["verify", "--suite", "quick"])
+    code = run(args + ["--out", str(tmp_path / "missing" / "x.json")], tmp_path, monkeypatch)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert "Traceback" not in err
+
+
 def test_verify_quick_suite(tmp_path, monkeypatch, capsys):
     report_path = tmp_path / "report.json"
     code = run(["verify", "--suite", "quick", "--out", str(report_path)],

@@ -48,7 +48,7 @@ def test_modulus_f8_least_of_exhaustive():
 
 def first_irreducible_unfiltered(p, f):
     """The least monic irreducible of degree f, in field_create's code order,
-    with the Rabin test run on every candidate."""
+    with the Berlekamp test (is_irreducible) run on every candidate."""
     for code in range(p ** f):
         poly = [(code // p ** i) % p for i in range(f)] + [1]
         if gfpoly.is_irreducible(poly, p):
@@ -61,6 +61,42 @@ def first_irreducible_unfiltered(p, f):
 def test_modulus_matches_unfiltered_scan(p, f):
     # the modulus search skips candidates with a root in F_p
     assert field_create(p, f).modulus == first_irreducible_unfiltered(p, f)
+
+
+# code sum(c_i p^i) of the non-leading coefficients of the value-least
+# monic irreducible of degree f, from the earlier Rabin-test search
+@pytest.mark.parametrize("p,f,code", [
+    (2, 12, 9), (2, 18, 9), (2, 21, 5), (3, 16, 37), (7, 12, 58), (2, 60, 3),
+    (5, 48, 138), (29, 28, 2), (3, 32, 52), (2, 64, 27), (61, 60, 2),
+])
+def test_modulus_is_pinned(p, f, code):
+    assert gfpoly.poly_code(field_create(p, f).modulus[:-1], p) == code
+
+
+def _remainder(f, g, p):
+    """f mod a monic g by schoolbook long division."""
+    f = list(f)
+    for top in range(len(f) - 1, len(g) - 2, -1):
+        lead = f[top]
+        for i, c in enumerate(g):
+            f[top - len(g) + 1 + i] = (f[top - len(g) + 1 + i] - lead * c) % p
+    return f[:len(g) - 1]
+
+
+def irreducible_by_trial_division(f, p):
+    """No monic polynomial of degree 1..deg f // 2 divides f."""
+    n = len(f) - 1
+    return not any(not any(_remainder(f, [(code // p ** i) % p for i in range(d)] + [1], p))
+                   for d in range(1, n // 2 + 1) for code in range(p ** d))
+
+
+@pytest.mark.parametrize("p,top", [(2, 10), (3, 6), (5, 4), (7, 3)])
+def test_is_irreducible_matches_trial_division(p, top):
+    # every monic polynomial of degree 1..top, the linear ones included
+    for n in range(1, top + 1):
+        for code in range(p ** n):
+            f = [(code // p ** i) % p for i in range(n)] + [1]
+            assert gfpoly.is_irreducible(f, p) == irreducible_by_trial_division(f, p), f
 
 
 def test_field_create_errors():

@@ -3,14 +3,14 @@ import random
 import numpy as np
 import pytest
 
-from wildprim import gfpoly, modrep
+from wildprim import modrep
 from wildprim.classmod import artinschreier_basis, galois_matrices, kummer_basis
 from wildprim.enumerator import simple_classes
 from wildprim.errors import InvariantViolation
 from wildprim.modrep import (
     brute_feasible, brute_simple_submodules, charpoly, chop,
     enumerate_simple_submodules, hom_space, in_row_space, inv_mat,
-    kernel, minpoly, poly_eval_matrix, rank, restrict_action, rref, solve,
+    kernel, poly_eval_matrix, rank, restrict_action, rref, solve,
     spin,
 )
 from wildprim.tower import BaseField, build_tower
@@ -159,9 +159,10 @@ def test_spin_with_a_limit_of_dim_or_more_is_unbounded():
 
 
 def test_minpoly_and_charpoly_agree_on_companion():
-    # companion matrix of x^3 + x + 1 over F_2
+    # companion matrix of x^3 + x + 1 over F_2, which is both its minimal
+    # and its characteristic polynomial
     C = np.array([[0, 0, 1], [1, 0, 1], [0, 1, 0]], dtype=np.int64)
-    assert minpoly(C, 2) == [1, 1, 0, 1]
+    assert least_monic_annihilator(C, 2) == [1, 1, 0, 1]
     assert charpoly(C, 2) == [1, 1, 0, 1]
 
 
@@ -176,9 +177,6 @@ def test_charpoly_random_matches_eigen_structure():
             assert len(cp) == n + 1 and cp[-1] == 1
             # Cayley-Hamilton
             assert not np.any(modrep.poly_eval_matrix(cp, A, p))
-            # minimal polynomial divides the characteristic polynomial
-            from wildprim import gfpoly
-            assert gfpoly.mod(cp, minpoly(A, p), p) == []
 
 
 def least_monic_annihilator(M, p):
@@ -193,40 +191,6 @@ def least_monic_annihilator(M, p):
             f = [(code // p ** i) % p for i in range(d)] + [1]
             if not np.any(sum(c * P for c, P in zip(f, powers)) % p):
                 return f
-
-
-def jordan(blocks):
-    """Block-diagonal matrix of Jordan blocks, given as (eigenvalue, size)."""
-    n = sum(size for _, size in blocks)
-    J = np.zeros((n, n), dtype=np.int64)
-    at = 0
-    for lam, size in blocks:
-        for i in range(size):
-            J[at + i, at + i] = lam
-            if i:
-                J[at + i - 1, at + i] = 1
-        at += size
-    return J
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_minpoly_is_the_least_monic_annihilator_of_every_2x2(p):
-    for code in range(p ** 4):
-        M = np.array([(code // p ** i) % p for i in range(4)], dtype=np.int64).reshape(2, 2)
-        assert minpoly(M, p) == least_monic_annihilator(M, p)
-
-
-@pytest.mark.parametrize("p,M", [
-    (2, jordan([(1, 1)] * 2)), (3, jordan([(1, 1)] * 3)),  # I_p: charpoly (x - 1)^p
-    (2, jordan([(1, 2)])), (2, jordan([(1, 2), (1, 1), (1, 1)])),
-    (2, jordan([(1, 2), (1, 2)])), (2, jordan([(0, 2), (0, 2)])),
-    (3, jordan([(1, 3)])), (3, jordan([(2, 2), (2, 1)])),
-    (3, jordan([(0, 3), (0, 3)])), (3, jordan([(1, 2), (2, 3)])),
-    # (x^2 + x + 1)^2 over F_2: an irreducible factor of degree 2, twice
-    (2, np.kron(np.eye(2, dtype=np.int64), [[0, 1], [1, 1]])),
-])
-def test_minpoly_when_p_divides_a_multiplicity(p, M):
-    assert minpoly(M, p) == least_monic_annihilator(M, p)
 
 
 def test_chop_c3_regular_over_f2():
@@ -366,11 +330,11 @@ def test_hom_space_non_semisimple_first_generator():
 
 
 def test_hom_space_is_empty_when_the_condensed_space_is():
-    # m(g_V) is invertible: the eigenvalue 1 of g_S does not occur in g_V
+    # c(g_V) is invertible: the eigenvalue 1 of g_S does not occur in g_V
     p = 3
     S = [np.eye(1, dtype=np.int64)] * 2
     V = [2 * np.eye(3, dtype=np.int64), np.eye(3, dtype=np.int64)]
-    assert kernel(poly_eval_matrix(minpoly(S[0], p), V[0], p), p).shape[0] == 0
+    assert kernel(poly_eval_matrix(charpoly(S[0], p), V[0], p), p).shape[0] == 0
     assert hom_space(S, V, p) == []
     assert _kronecker_hom_space(S, V, p).shape[0] == 0
 
@@ -382,7 +346,7 @@ def test_hom_space_when_the_second_generator_leaves_w():
     S = [np.eye(1, dtype=np.int64)] * 2
     g_V = np.diag([1, 2, 1]).astype(np.int64)
     h_V = np.array([[1, 1, 0], [1, 2, 0], [0, 0, 1]], dtype=np.int64)
-    W = kernel(poly_eval_matrix(minpoly(S[0], p), g_V, p), p)
+    W = kernel(poly_eval_matrix(charpoly(S[0], p), g_V, p), p)
     with pytest.raises(ValueError, match="not stable"):
         restrict_action([g_V, h_V], W, p)
     [X] = hom_space(S, [g_V, h_V], p)
@@ -419,6 +383,24 @@ def test_hom_space_on_tower_class_modules(base, n, level_bound, only_dim_n):
     assert classes
     for cls in classes:
         _check_hom_space(cls.gens(), V, tower.p)
+
+
+@pytest.mark.parametrize("base,n,level_bound", [
+    (BaseField(2, 1, 0), 2, None), (BaseField(3, 1, 0), 2, None),
+    (BaseField(2, 1, 0), 3, None), (BaseField(2, 1, 2), 2, 5),
+], ids=["Q_2,n=2", "Q_3,n=2", "Q_2,n=3", "F_2((t)),n=2,B=5"])
+def test_condensation_at_charpoly_is_at_the_minimal_polynomial(base, n, level_bound):
+    # sigma has order prime to p, so it acts semisimply on S and V, and
+    # hom_space's W = ker c(sigma_V) is the kernel at the minimal polynomial
+    tower = build_tower(base, n)
+    p = tower.p
+    sigma_V = galois_matrices(kummer_basis(tower) if base.char == 0
+                              else artinschreier_basis(tower, level_bound))[tower.sigma]
+    for cls in simple_classes(tower):
+        sigma_S = cls.gens()[0]
+        at_c = kernel(poly_eval_matrix(charpoly(sigma_S, p), sigma_V, p), p)
+        at_m = kernel(poly_eval_matrix(least_monic_annihilator(sigma_S, p), sigma_V, p), p)
+        assert np.array_equal(at_c, at_m)
 
 
 def _solve_per_column(gens, rows, p):
@@ -498,13 +480,6 @@ def test_echelon_routines_match_rref_on_random_input():
             K = kernel(rows, p)
             assert K.shape == (len(free), dim) and not np.any(rows @ K.T % p)
             assert np.array_equal(K[:, free], np.eye(len(free), dtype=np.int64))
-            # minpoly: monic, annihilates M, and no proper divisor does
-            M = rng.integers(0, p, (dim, dim))
-            mp = minpoly(M, p)
-            assert mp[-1] == 1 and not np.any(poly_eval_matrix(mp, M, p))
-            for g in gfpoly.distinct_irreducible_factors(mp, p):
-                smaller = gfpoly.divmod_poly(mp, g, p)[0]
-                assert np.any(poly_eval_matrix(smaller, M, p))
 
 
 def test_enumerate_c3_planes():

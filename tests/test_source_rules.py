@@ -77,6 +77,30 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def _mentions(tree, name) -> int:
+    """How often `name` occurs as a bare name or an attribute in tree."""
+    return sum(1 for node in ast.walk(tree)
+               if (isinstance(node, ast.Name) and node.id == name)
+               or (isinstance(node, ast.Attribute) and node.attr == name))
+
+
+def test_no_orphaned_private_helpers():
+    # every private function or method is named somewhere in the package
+    # outside its own definition; a helper whose last caller went is dead
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    orphans = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")):
+                outside = (sum(_mentions(t, node.name) for t in trees.values())
+                           - _mentions(node, node.name))
+                if not outside:
+                    orphans.append(f"{name}:{node.lineno}:{node.name}")
+    assert orphans == []
+
+
 def _scopes_where(tree, hit):
     """Qualified names of the scopes holding a node for which hit is true."""
     found = []
