@@ -356,10 +356,13 @@ def enumerate_primitive(base: BaseField, n: int, *, level_bound: int | None = No
     classes = simple_classes(tower)
     degree_classes = [c for c in classes if c.dim == n]
     closures = [closure_descriptor(tower, *cls.gens(), omega) for cls in degree_classes]
-    records = [_record_for(tower, basis, cls, rows, closure)
-               for cls, closure in zip(degree_classes, closures)
+    polys = [tuple(modrep.charpoly(cls.sigma, tower.p)) for cls in degree_classes]
+    parts = {c: modrep.isotypic_part(gens_V, list(c), tower.p) for c in set(polys)}
+    # an rref basis times the rref rows W of the part is the rref of its image in V
+    records = [_record_for(tower, basis, cls, modrep.mm(rows, parts[c][0], tower.p), closure)
+               for cls, closure, c in zip(degree_classes, closures, polys)
                for rows in modrep.enumerate_simple_submodules(
-                   gens_V, cls.gens(), cls.end_degree, tower.p)]
+                   parts[c][1], cls.gens(), cls.end_degree, tower.p)]
     by_class = {cls.identifier: cls.fingerprint for cls in degree_classes}
     records.sort(key=lambda r: (r.level, by_class[r.rep_id],
                                 tuple(x for row in r.d_basis for x in row)))

@@ -18,11 +18,11 @@ never calls chop; it is the reference implementation the simple-class
 oracle in verify compares against.
 
 The simple submodules of V isomorphic to a simple S are the images of the
-nonzero maps in Hom(S, V), which hom_space solves by condensation at the
-characteristic polynomial of the first generator on S (Lux, Mueller, Ringe
-1994).  enumerate_simple_submodules takes one map per F_p-line of that
-space and groups the maps by image; it needs the End degree of S, which
-the caller knows, and never builds End(S).
+nonzero maps in Hom(S, V), which lie in the isotypic part ker c(g_V), c the
+characteristic polynomial of the first generator on S (condensation, Lux,
+Mueller, Ringe 1994).  enumerate_simple_submodules takes one map per
+F_p-line of Hom(S, part) and groups the maps by image; it needs the End
+degree of S, which the caller knows, and never builds End(S).
 """
 
 from __future__ import annotations
@@ -194,19 +194,17 @@ def charpoly(M, p: int) -> list[int]:
     return list(out) + [0] * (n + 1 - len(out))
 
 
-def spin(gens, seeds, p: int, limit: int | None = None) -> np.ndarray:
-    """Canonical row basis of the smallest invariant subspace holding seeds.
-
-    With a limit, the spin stops once its span has limit + 1 rows and
-    returns those rows; a spin of at most limit rows never gets there and
-    comes back whole, exactly as without the limit.
-    """
+def spin(gens, seeds, p: int) -> np.ndarray:
+    """Canonical row basis of the smallest invariant subspace holding seeds."""
     gens_t = [np.ascontiguousarray(as_fp(M, p).T) for M in gens]
-    return _spin(gens_t, list(as_fp(np.atleast_2d(seeds), p)), p, limit)
+    return _spin(gens_t, list(as_fp(np.atleast_2d(seeds), p)), p)
 
 
 def _spin(gens_t, seeds, p: int, limit: int | None = None) -> np.ndarray:
-    """spin of reduced seeds under reduced generators transposed once (v -> v M^T)."""
+    """spin of reduced seeds under reduced generators transposed once
+    (v -> v M^T).  With a limit, the spin stops once its span has limit + 1
+    rows and returns those rows; a spin of at most limit rows never gets
+    there and comes back whole, exactly as without the limit."""
     dim = gens_t[0].shape[0]
     cap = dim if limit is None else min(dim, limit + 1)
     rows: list[np.ndarray] = []
@@ -238,9 +236,8 @@ def in_row_space(rows: np.ndarray, v, p: int) -> bool:
 
 def restrict_action(gens, rows: np.ndarray, p: int) -> list[np.ndarray]:
     """Action matrices on a stable subspace, in the coordinates of its rows.
-
-    Raises ValueError if the subspace is not stable.
-    """
+    Every caller's subspace is stable by construction or by theory, so one
+    that is not raises InvariantViolation."""
     k = rows.shape[0]
     basis = as_fp(rows, p).T
     # columns k.. of [rows^T | images of the rows] reduce to the coordinates
@@ -248,7 +245,7 @@ def restrict_action(gens, rows: np.ndarray, p: int) -> list[np.ndarray]:
     R, pivots = rref(np.concatenate([basis] + [mm(as_fp(M, p), basis, p) for M in gens],
                                     axis=1), p)
     if pivots != list(range(k)):
-        raise ValueError("subspace is not stable under the action")
+        raise InvariantViolation("subspace is not stable under the action")
     return np.split(R[:, k:], len(gens), axis=1)
 
 
@@ -328,35 +325,33 @@ def chop(gens, p: int, seed: int = 0, max_tries: int = 200) -> list[Constituent]
 
 
 def hom_space(gens_S, gens_V, p: int) -> list[np.ndarray]:
-    """Basis of equivariant maps S -> V as (dim V x dim S) matrices.
-
-    Condensation at the first generator g: its characteristic polynomial c
-    on S has c(g_S) = 0 (Cayley-Hamilton), so every equivariant X has
-    c(g_V) X = X c(g_S) = 0 and X = W^T Y for the rows W of ker c(g_V), a
-    g_V-stable subspace; for a semisimple g (order prime to p, as sigma in
-    the pipeline) it is the kernel at the minimal polynomial.  The Y (k x n)
-    commuting with g are one kernel of kron(g_W, I_n) - kron(I_k, g_S^T) on
-    the row-major vec(Y); each further generator keeps the combinations of
-    those candidates whose vectorised g_V X - X g_S vanishes.  No relation
-    among the generators, semisimplicity or cyclic S is assumed.
-    """
+    """Basis of equivariant maps S -> V as (dim V x dim S) matrices: one
+    kernel of kron(g_V, I) - kron(I, g_S^T) on the row-major vec(X) for the
+    first generator g, cut by each further generator to the combinations
+    whose g_V X - X g_S vanishes.  No relation among the generators,
+    semisimplicity or cyclic S is assumed; callers condense V first."""
     gens_S = [as_fp(M, p) for M in gens_S]
     gens_V = [as_fp(M, p) for M in gens_V]
-    W = kernel(poly_eval_matrix(charpoly(gens_S[0], p), gens_V[0], p), p)
-    k, n = W.shape[0], gens_S[0].shape[0]
-    if k == 0:
-        return []
-    [g_W] = restrict_action(gens_V[:1], W, p)
-    basis = kernel(np.kron(g_W, np.eye(n, dtype=np.int64))
-                   - np.kron(np.eye(k, dtype=np.int64), gens_S[0].T), p)
-    Y = basis.reshape(-1, k, n)
+    m, n = gens_V[0].shape[0], gens_S[0].shape[0]
+    X = kernel(np.kron(gens_V[0], np.eye(n, dtype=np.int64))
+               - np.kron(np.eye(m, dtype=np.int64), gens_S[0].T), p)
     for MS, MV in zip(gens_S[1:], gens_V[1:]):
-        if not len(Y):
-            break
-        defect = (mm(mm(MV, W.T, p), Y, p) - mm(W.T, mm(Y, MS, p), p)) % p
-        keep = kernel(defect.reshape(len(Y), -1).T, p)
-        Y = mm(keep, Y.reshape(len(Y), -1), p).reshape(-1, k, n)
-    return list(mm(W.T, Y, p))
+        maps = X.reshape(len(X), m, n)
+        defect = (mm(MV, maps, p) - mm(maps, MS, p)) % p
+        X = mm(kernel(defect.reshape(len(X), m * n).T, p), X, p)
+    return list(X.reshape(len(X), m, n))
+
+
+def isotypic_part(gens_V, c: list[int], p: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Rref rows W of ker c(g_V), g the first generator, and the action on W.
+
+    For c the characteristic polynomial of g_S, every equivariant X: S -> V
+    has c(g_V) X = X c(g_S) = 0 (Cayley-Hamilton), so its image lies in W.
+    W is stable when g is semisimple and the roots of c are closed under the
+    group's conjugation of g (in the tower group sigma, of order prime to p,
+    with phi sigma phi^-1 = sigma^q); restrict_action certifies it."""
+    W = rref(kernel(poly_eval_matrix(c, as_fp(gens_V[0], p), p), p), p)[0]
+    return W, restrict_action(gens_V, W, p)
 
 
 def _mat_pow(M, e: int, p: int) -> np.ndarray:

@@ -153,8 +153,10 @@ def structure_checks(result: EnumerationResult) -> VerificationReport:
         expected_dim = tower.group_order * f + 2
         report.add(f"dim[{_tag(result)}]", result.basis.dim, expected_dim)
         om_s, om_p = result.omega[tower.sigma], result.omega[tower.phi]
-        for cls in result.classes:
-            hom_dim = len(modrep.hom_space(cls.gens(), V, p))
+        polys = [tuple(modrep.charpoly(cls.sigma, p)) for cls in result.classes]
+        parts = {c: modrep.isotypic_part(V, list(c), p)[1] for c in set(polys)}
+        for cls, c in zip(result.classes, polys):
+            hom_dim = len(modrep.hom_space(cls.gens(), parts[c], p))
             expected = f * cls.dim
             if _is_character_line(cls, 1, 1, p):
                 expected += 1

@@ -263,11 +263,13 @@ def test_one_filtration_index_per_record(monkeypatch):
 
 
 def test_class_data_is_derived_once_per_class(monkeypatch):
-    # one closure descriptor per class of dimension n, and no restriction
-    # of the action to an image: restrict_action runs only inside hom_space
-    # and the class construction
+    # one closure descriptor per class of dimension n, one isotypic part per
+    # distinct characteristic polynomial of sigma among those classes (at
+    # Q_2 n=3 four classes share three), and no restriction of the action
+    # to an image: restrict_action runs only inside isotypic_part and the
+    # class construction
     from wildprim import enumerator
-    closures, outside, depth = [], [], []
+    closures, parts, outside, depth = [], [], [], []
 
     def wrap(fn, log=None):
         def inner(*args, **kwargs):
@@ -288,12 +290,13 @@ def test_class_data_is_derived_once_per_class(monkeypatch):
         return real_restrict(*args, **kwargs)
     monkeypatch.setattr(enumerator, "closure_descriptor",
                         wrap(enumerator.closure_descriptor, closures))
-    monkeypatch.setattr(modrep, "hom_space", wrap(modrep.hom_space))
+    monkeypatch.setattr(modrep, "isotypic_part", wrap(modrep.isotypic_part, parts))
     monkeypatch.setattr(enumerator, "simple_classes", wrap(enumerator.simple_classes))
     monkeypatch.setattr(modrep, "restrict_action", restrict)
-    res = enumerate_primitive(Q2, 2)
-    assert len(res.records) == 4
-    assert len(closures) == sum(c.dim == 2 for c in res.classes) == 2
+    res = enumerate_primitive(Q2, 3)
+    degree_classes = [c for c in res.classes if c.dim == 3]
+    assert len(closures) == len(degree_classes) == 4
+    assert len(parts) == len({tuple(modrep.charpoly(c.sigma, 2)) for c in degree_classes}) == 3
     assert outside == []
 
 

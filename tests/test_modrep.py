@@ -10,8 +10,8 @@ from wildprim.errors import InvariantViolation
 from wildprim.modrep import (
     brute_feasible, brute_simple_submodules, charpoly, chop,
     enumerate_simple_submodules, hom_space, in_row_space, inv_mat,
-    kernel, poly_eval_matrix, rank, restrict_action, rref, solve,
-    spin,
+    isotypic_part, kernel, poly_eval_matrix, rank, restrict_action, rref,
+    solve, spin,
 )
 from wildprim.tower import BaseField, build_tower
 
@@ -136,6 +136,12 @@ def test_spin_of_nonfixed_vector_fills_module():
     assert rows.shape[0] == 3
 
 
+def _limited_spin(gens, v, p, limit):
+    """The brute scan's bounded spin: _spin on the generators transposed."""
+    return modrep._spin([np.ascontiguousarray(M.T) for M in gens], [np.array(v)], p,
+                        limit=limit)
+
+
 def test_spin_with_a_limit():
     gens = c3_regular_gens()
     # [1, 1, 1] spins the trivial line, [1, 1, 0] the augmentation plane
@@ -143,10 +149,10 @@ def test_spin_with_a_limit():
         full = spin(gens, np.array(v), 2)
         assert full.shape[0] == size
         for limit in range(size, 3):
-            assert np.array_equal(spin(gens, np.array(v), 2, limit=limit), full)
+            assert np.array_equal(_limited_spin(gens, v, 2, limit), full)
     # [1, 0, 0] spins the whole module: a smaller limit stops it early
     for limit in (0, 1):
-        rows = spin(gens, np.array([1, 0, 0]), 2, limit=limit)
+        rows = _limited_spin(gens, [1, 0, 0], 2, limit)
         assert rows.shape[0] == limit + 1 and rank(rows, 2) == limit + 1
 
 
@@ -155,7 +161,7 @@ def test_spin_with_a_limit_of_dim_or_more_is_unbounded():
     for code in range(1, 8):
         v = np.array([(code >> i) & 1 for i in range(3)])
         for limit in (3, 4, 10):
-            assert np.array_equal(spin(gens, v, 2, limit=limit), spin(gens, v, 2))
+            assert np.array_equal(_limited_spin(gens, v, 2, limit), spin(gens, v, 2))
 
 
 def test_minpoly_and_charpoly_agree_on_companion():
@@ -298,10 +304,10 @@ def test_hom_space_matches_kronecker_reference(p):
     assert len(hom_space(*cases[0], p)) == 6
 
 
-def _check_hom_space(S, V, p):
-    """hom_space(S, V) holds only equivariant maps and spans the same space
-    as the uncondensed Kronecker solve; returns its dimension."""
-    H = hom_space(S, V, p)
+def _check_hom_space(S, V, p, H=None):
+    """hom_space(S, V), or the maps H, holds only equivariant maps and spans
+    the same space as the reference Kronecker solve; returns its dimension."""
+    H = hom_space(S, V, p) if H is None else H
     for X in H:
         assert X.shape == (V[0].shape[0], S[0].shape[0])
         for MS, MV in zip(S, V):
@@ -330,11 +336,14 @@ def test_hom_space_non_semisimple_first_generator():
 
 
 def test_hom_space_is_empty_when_the_condensed_space_is():
-    # c(g_V) is invertible: the eigenvalue 1 of g_S does not occur in g_V
+    # c(g_V) is invertible: the eigenvalue 1 of g_S does not occur in g_V,
+    # so the isotypic part is 0-dimensional and nothing maps into it
     p = 3
     S = [np.eye(1, dtype=np.int64)] * 2
     V = [2 * np.eye(3, dtype=np.int64), np.eye(3, dtype=np.int64)]
-    assert kernel(poly_eval_matrix(charpoly(S[0], p), V[0], p), p).shape[0] == 0
+    W, part = isotypic_part(V, charpoly(S[0], p), p)
+    assert W.shape == (0, 3) and [M.shape for M in part] == [(0, 0)] * 2
+    assert hom_space(S, part, p) == []
     assert hom_space(S, V, p) == []
     assert _kronecker_hom_space(S, V, p).shape[0] == 0
 
@@ -347,7 +356,7 @@ def test_hom_space_when_the_second_generator_leaves_w():
     g_V = np.diag([1, 2, 1]).astype(np.int64)
     h_V = np.array([[1, 1, 0], [1, 2, 0], [0, 0, 1]], dtype=np.int64)
     W = kernel(poly_eval_matrix(charpoly(S[0], p), g_V, p), p)
-    with pytest.raises(ValueError, match="not stable"):
+    with pytest.raises(InvariantViolation, match="not stable"):
         restrict_action([g_V, h_V], W, p)
     [X] = hom_space(S, [g_V, h_V], p)
     assert X[2, 0] and not np.any(X[:2])
@@ -373,16 +382,44 @@ def test_hom_space_of_a_one_generator_module():
     (BaseField(2, 1, 0), 3, None, True),
 ], ids=["Q_2,n=2", "Q_3,n=1", "Q_5,n=1", "F_2((t)),n=2,B=5", "Q_2,n=3"])
 def test_hom_space_on_tower_class_modules(base, n, level_bound, only_dim_n):
-    # the condensed solve against the plain Kronecker solve on the class
-    # modules the enumerator meets: every simple class, or those of dim n
+    # condensation against the plain Kronecker solve on the whole class
+    # module, for the classes the enumerator meets: every simple class, or
+    # those of dim n; the maps into the isotypic part W, composed with the
+    # inclusion W^T, are all of Hom(S, V)
     tower = build_tower(base, n)
+    p = tower.p
     mats = galois_matrices(kummer_basis(tower) if base.char == 0
                            else artinschreier_basis(tower, level_bound))
     V = [mats[tower.sigma], mats[tower.phi]]
     classes = [c for c in simple_classes(tower) if not only_dim_n or c.dim == n]
     assert classes
     for cls in classes:
-        _check_hom_space(cls.gens(), V, tower.p)
+        W, part = isotypic_part(V, charpoly(cls.sigma, p), p)
+        H = [(W.T @ Y) % p for Y in hom_space(cls.gens(), part, p)]
+        _check_hom_space(cls.gens(), V, p, H)
+
+
+@pytest.mark.parametrize("base,n,level_bound", [
+    (BaseField(2, 1, 0), 3, None), (BaseField(3, 1, 0), 2, None),
+    (BaseField(7, 1, 0), 1, None), (BaseField(2, 2, 2), 2, 5),
+], ids=["Q_2,n=3", "Q_3,n=2", "Q_7,n=1", "F_4((t)),n=2,B=5"])
+def test_a_basis_from_the_part_times_w_is_rref(base, n, level_bound):
+    # the enumerator maps each submodule basis back to V with one product
+    # by the rref rows W of its isotypic part and emits the result as the
+    # canonical rref basis, with no rref of its own
+    tower = build_tower(base, n)
+    p = tower.p
+    mats = galois_matrices(kummer_basis(tower) if base.char == 0
+                           else artinschreier_basis(tower, level_bound))
+    V = [mats[tower.sigma], mats[tower.phi]]
+    bases = 0
+    for cls in (c for c in simple_classes(tower) if c.dim == n):
+        W, part = isotypic_part(V, charpoly(cls.sigma, p), p)
+        for rows in enumerate_simple_submodules(part, cls.gens(), cls.end_degree, p):
+            image = (rows @ W) % p
+            assert np.array_equal(image, rref(image, p)[0])
+            bases += 1
+    assert bases
 
 
 @pytest.mark.parametrize("base,n,level_bound", [
@@ -391,16 +428,16 @@ def test_hom_space_on_tower_class_modules(base, n, level_bound, only_dim_n):
 ], ids=["Q_2,n=2", "Q_3,n=2", "Q_2,n=3", "F_2((t)),n=2,B=5"])
 def test_condensation_at_charpoly_is_at_the_minimal_polynomial(base, n, level_bound):
     # sigma has order prime to p, so it acts semisimply on S and V, and
-    # hom_space's W = ker c(sigma_V) is the kernel at the minimal polynomial
+    # isotypic_part's W = ker c(sigma_V) is the kernel at the minimal polynomial
     tower = build_tower(base, n)
     p = tower.p
     sigma_V = galois_matrices(kummer_basis(tower) if base.char == 0
                               else artinschreier_basis(tower, level_bound))[tower.sigma]
     for cls in simple_classes(tower):
         sigma_S = cls.gens()[0]
-        at_c = kernel(poly_eval_matrix(charpoly(sigma_S, p), sigma_V, p), p)
+        at_c = isotypic_part([sigma_V], charpoly(sigma_S, p), p)[0]
         at_m = kernel(poly_eval_matrix(least_monic_annihilator(sigma_S, p), sigma_V, p), p)
-        assert np.array_equal(at_c, at_m)
+        assert np.array_equal(at_c, rref(at_m, p)[0])
 
 
 def _solve_per_column(gens, rows, p):
@@ -426,7 +463,7 @@ def test_restrict_action_matches_per_column_solve():
                 for S, ref in zip(got, _solve_per_column(gens, basis, p)):
                     assert np.array_equal(S, ref)
     # a line that is not stable under the 3-cycle
-    with pytest.raises(ValueError, match="not stable"):
+    with pytest.raises(InvariantViolation, match="not stable"):
         restrict_action(c3_regular_gens(), np.array([[1, 0, 0]], dtype=np.int64), 2)
 
 

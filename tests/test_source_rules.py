@@ -158,6 +158,18 @@ def test_one_fp_product_path():
     assert sites - RING_PRODUCT_SCOPES == {"modrep.py:mm"}
 
 
+def test_condensation_stays_out_of_hom_space():
+    # a polynomial in a matrix is evaluated only to condense a module once
+    # per isotypic part and in the MeatAxe splitter; hom_space is the plain
+    # Kronecker solve on the module its caller condensed
+    sites = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        sites |= {f"{path.name}:{scope}" for scope in _scopes_where(tree, lambda node: (
+            isinstance(node, ast.Call) and _mentions(node.func, "poly_eval_matrix")))}
+    assert sites == {"modrep.py:isotypic_part", "modrep.py:_split_once"}
+
+
 def test_readme_record_table_is_the_record_schema():
     # the README's frozen field table lists ExtensionRecord's fields in
     # order, and CSV flattens `base` into the leading columns p, f, char

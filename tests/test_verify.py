@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from wildprim import modrep
 from wildprim.enumerator import enumerate_primitive, level_divisibility_holds
 from wildprim.tower import BaseField
 from wildprim.verify import (
@@ -80,6 +81,19 @@ def test_structure_checks_pass(base, n, bound):
     res = enumerate_primitive(base, n, level_bound=bound, use_cache=False)
     report = structure_checks(res)
     assert report.passed, report.render()
+
+
+def test_structure_checks_condense_once_per_polynomial(monkeypatch):
+    # one isotypic part per distinct characteristic polynomial of sigma
+    # over all simple classes: at Q_3 n=1 four classes share two
+    res = enumerate_primitive(Q3, 1)
+    calls = []
+    real = modrep.isotypic_part
+    monkeypatch.setattr(modrep, "isotypic_part",
+                        lambda *args: calls.append(1) or real(*args))
+    assert structure_checks(res).passed
+    polys = {tuple(modrep.charpoly(c.sigma, 3)) for c in res.classes}
+    assert len(calls) == len(polys) == 2 and len(res.classes) == 4
 
 
 def test_structure_dimension_examples():
