@@ -12,7 +12,9 @@ in the catalog metadata and changes no computation.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 
 from .enumerator import enumerate_primitive, list_representations
 from .errors import InvariantViolation, PrecisionExhausted
@@ -137,6 +139,10 @@ def cmd_verify(args) -> int:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        # a missing or unwritable --out directory fails before the run, not
+        # after it; the file itself is opened only for the final write
+        if getattr(args, "out", None):
+            tempfile.TemporaryFile(dir=os.path.dirname(args.out) or os.curdir).close()
         if args.command == "enumerate":
             return cmd_enumerate(args)
         if args.command == "reps":

@@ -191,8 +191,6 @@ class FiniteField:
 
     def _mul(self, a, b):
         p, f = self.p, self.f
-        if f == 1:
-            return ((a[0] * b[0]) % p,)
         out = [0] * (2 * f - 1)
         for i, ai in enumerate(a):
             if ai:

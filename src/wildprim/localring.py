@@ -11,11 +11,11 @@ array of coefficient polynomials plus a validity window w: the element is
 known modulo pi^w.  All stored elements are integral (valuation >= 0);
 window bookkeeping is conservative (min of the operand windows), which is
 exact for integral elements.
-A product is one convolution per nonzero pi-row j of the sparser operand
-(or of the one element that multiplies a stack of elements, data of shape
-(S, e, f')): the rows of pi^j times the dense operand, whose wrapped rows
-carry the factor p of pi^e = p, are laid end to end at stride 2f'-1 (row
-i, coefficient u at index i(2f'-1) + u, so no row spills into the next,
+A product self * other is one convolution per nonzero pi-row j of the
+right operand other (self may be a stack of elements, data of shape
+(S, e, f')): the rows of pi^j times self, whose wrapped rows carry the
+factor p of pi^e = p, are laid end to end at stride 2f'-1 (row i,
+coefficient u at index i(2f'-1) + u, so no row spills into the next,
 across the whole stack), convolved with row j, summed, and reduced
 modulo F.
 
@@ -203,27 +203,21 @@ class RingElt:
         return self + (-other)
 
     def __mul__(self, other):
-        """The product with one element; self may also be a stack of
-        elements (data of shape (S, e, f')), each multiplied by other."""
+        """self * other, one convolution per nonzero pi-row of other; self
+        may also be a stack of elements (data of shape (S, e, f'))."""
         self._check(other)
         ring = self.ring
         e, f, pm = ring.e, ring.fprime, ring.pm
-        dense, sparse = self.data, other.data
-        rows = sparse.any(1).nonzero()[0]
-        if dense.ndim == 2:
-            rows_d = dense.any(1).nonzero()[0]
-            if len(rows_d) < len(rows):
-                dense, sparse, rows = sparse, dense, rows_d
-        # rows p*dense then dense, laid at stride 2f'-1: rows e-j .. 2e-j-1
-        # are pi^j * dense (so only j > 0 reads p*dense)
-        laid = np.zeros(dense.shape[:-2] + (2 * e, 2 * f - 1), dtype=np.int64)
-        laid[..., e:, :f] = dense
-        if rows.any():
-            laid[..., :e, :f] = dense * ring.p % pm
-        wide = np.zeros(dense.size // f * (2 * f - 1), dtype=np.int64)
-        for j in rows:
-            wide += np.convolve(laid[..., e - j:2 * e - j, :].reshape(-1), sparse[j])[:wide.size]
-        return RingElt(ring, ring.reduce_wide(wide.reshape(dense.shape[:-1] + (-1,))),
+        data = self.data
+        # rows p*data then data, laid at stride 2f'-1: rows e-j .. 2e-j-1
+        # are pi^j * data
+        laid = np.zeros(data.shape[:-2] + (2 * e, 2 * f - 1), dtype=np.int64)
+        laid[..., e:, :f] = data
+        laid[..., :e, :f] = data * ring.p % pm
+        wide = np.zeros(data.size // f * (2 * f - 1), dtype=np.int64)
+        for j in other.data.any(1).nonzero()[0]:
+            wide += np.convolve(laid[..., e - j:2 * e - j, :].reshape(-1), other.data[j])[:wide.size]
+        return RingElt(ring, ring.reduce_wide(wide.reshape(data.shape[:-1] + (-1,))),
                        min(self.window, other.window))
 
     def __pow__(self, k: int) -> "RingElt":

@@ -8,6 +8,7 @@ reduced row echelon form, which doubles as the canonical form used for
 deterministic ordering.  Every F_p product is one call of mm: int64 below
 an inner width of BLAS_WIDTH, float64 on BLAS from there on, exact while
 width * (p - 1)^2 < 2^53 (Dumas, Giorgi, Pernet 2008), else InvariantViolation.
+Either way it is reduced once, in int64: a float64 product is cast first.
 
 The module splitter (chop) is the usual randomized MeatAxe with Norton's
 irreducibility certificate, driven by a caller-supplied seed.  It splits V
@@ -51,7 +52,7 @@ def mm(A, B, p: int) -> np.ndarray:
         return (A @ B) % p
     if width * (p - 1) ** 2 >= 1 << 53:
         raise InvariantViolation(f"a width-{width} product mod {p} is not exact in float64")
-    return (np.asarray(A, dtype=np.float64) @ np.asarray(B, dtype=np.float64) % p).astype(np.int64)
+    return (np.asarray(A, dtype=np.float64) @ np.asarray(B, dtype=np.float64)).astype(np.int64) % p
 
 
 def rref(A, p: int):
@@ -414,11 +415,10 @@ def _line_representatives(n: int, p: int):
     coordinate is 1.  A vector and its multiples spin the same subspace."""
     for lead in range(n):
         tail = n - lead - 1
-        for code in range(p ** tail):
-            v = np.zeros(n, dtype=np.int64)
-            v[lead] = 1
-            v[lead + 1:] = [(code // p ** i) % p for i in range(tail)]
-            yield v
+        block = np.zeros((p ** tail, n), dtype=np.int64)
+        block[:, lead] = 1
+        block[:, lead + 1:] = np.arange(p ** tail)[:, None] // p ** np.arange(tail) % p
+        yield from block
 
 
 def is_simple(sub_gens, p: int) -> bool:

@@ -9,7 +9,6 @@ from wildprim.errors import InvariantViolation, PrecisionExhausted
 
 
 def run(args, tmp_path, monkeypatch):
-    monkeypatch.setenv("WILDPRIM_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.chdir(tmp_path)
     return main(args)
 
@@ -179,10 +178,12 @@ def test_exponential_hom_scan_is_refused(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["enumerate", "verify"])
 def test_an_unwritable_out_path_is_an_error(command, tmp_path, monkeypatch, capsys):
-    # the write fails after the run: exit 1 with a message, no traceback
+    # the missing directory is found before the run: exit 1 with a
+    # message, no traceback, and neither the enumeration nor the suite runs
     from wildprim import cli
-    from wildprim.verify import VerificationReport
-    monkeypatch.setattr(cli, "_verify_suite", lambda suite, seed: VerificationReport())
+    calls = []
+    monkeypatch.setattr(cli, "enumerate_primitive", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli, "_verify_suite", lambda *a: calls.append(a))
     args = (["enumerate", "--p", "2", "--f", "1", "--char", "0", "--n", "1"]
             if command == "enumerate" else ["verify", "--suite", "quick"])
     code = run(args + ["--out", str(tmp_path / "missing" / "x.json")], tmp_path, monkeypatch)
@@ -190,6 +191,40 @@ def test_an_unwritable_out_path_is_an_error(command, tmp_path, monkeypatch, caps
     assert code == 1
     assert err.startswith("error: ") and "No such file or directory" in err
     assert "Traceback" not in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["enumerate", "verify"])
+def test_a_failed_run_leaves_an_existing_out_file_untouched(command, tmp_path, monkeypatch):
+    # the early --out check leaves the file alone: a failed run keeps it
+    from wildprim import cli
+
+    def fail(*args, **kwargs):
+        raise InvariantViolation("stop")
+    monkeypatch.setattr(cli, "enumerate_primitive", fail)
+    monkeypatch.setattr(cli, "_verify_suite", fail)
+    out = tmp_path / "x.json"
+    out.write_text("old")
+    args = (["enumerate", "--p", "2", "--f", "1", "--char", "0", "--n", "1"]
+            if command == "enumerate" else ["verify", "--suite", "quick"])
+    assert run(args + ["--out", str(out)], tmp_path, monkeypatch) == 2
+    assert out.read_text() == "old"
+    assert [f.name for f in tmp_path.iterdir()] == ["x.json"]
+
+
+@pytest.mark.parametrize("command", ["enumerate", "verify"])
+def test_an_out_path_that_is_a_directory_fails_at_the_write(command, tmp_path, monkeypatch,
+                                                            capsys):
+    # past the early check, the final write keeps its own error: exit 1
+    from wildprim import cli
+    from wildprim.verify import VerificationReport
+    monkeypatch.setattr(cli, "_verify_suite", lambda suite, seed: VerificationReport())
+    args = (["enumerate", "--p", "2", "--f", "1", "--char", "0", "--n", "1"]
+            if command == "enumerate" else ["verify", "--suite", "quick"])
+    code = run(args + ["--out", str(tmp_path)], tmp_path, monkeypatch)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Is a directory" in err
 
 
 def test_verify_quick_suite(tmp_path, monkeypatch, capsys):

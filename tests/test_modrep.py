@@ -56,6 +56,19 @@ def test_mm_refuses_an_inexact_float64_product():
     assert not modrep.mm(A[:, :modrep.BLAS_WIDTH - 1], B[:modrep.BLAS_WIDTH - 1], p).any()
 
 
+def test_mm_is_exact_at_the_float64_edge_with_maximal_entries():
+    # every entry p - 1: the float64 sums reach 127 * 2^46, one column
+    # short of the bound, and must come back exact through the int64 cast
+    p, width = (1 << 23) + 1, 127
+    assert width * (p - 1) ** 2 == 127 << 46 < 1 << 53
+    A = np.full((3, width), p - 1, dtype=np.int64)
+    B = np.full((width, 2), p - 1, dtype=np.int64)
+    out = modrep.mm(A, B, p)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, (A @ B) % p)
+    assert (out == 127).all()  # (p - 1)^2 = 1 mod p
+
+
 def test_mat_pow_is_the_repeated_product():
     rng = np.random.default_rng(5)
     M = rng.integers(0, 7, (5, 5))
