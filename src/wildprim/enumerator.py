@@ -59,21 +59,19 @@ def fingerprint(tower: TameTower, sigma: np.ndarray, phi: np.ndarray) -> tuple:
     """(dim, charpoly of every group element (a, b) -> sigma^a phi^b in lex
     order): an isomorphism invariant that separates classes sharing sorted
     fixed-space data.  The characteristic polynomial is a class function, so
-    it is taken once per conjugacy class, at its leader, from one table of
-    powers of sigma and of phi."""
+    it is taken at each conjugacy class's leader, all leaders in one stacked
+    call, from one table of powers of sigma and of phi."""
     p = tower.p
     leaders = [cls[0] for cls in tower.conjugacy_classes]
 
     def powers(M, k):
-        return list(accumulate([M] * k, lambda A, B: modrep.mm(A, B, p),
-                               initial=np.eye(M.shape[0], dtype=np.int64)))
+        return np.stack(list(accumulate([M] * k, lambda A, B: modrep.mm(A, B, p),
+                                        initial=np.eye(M.shape[0], dtype=np.int64))))
 
-    sig = powers(sigma, max(a for a, _ in leaders))
-    ph = powers(phi, max(b for _, b in leaders))
-    cps = {}
-    for cls, (a, b) in zip(tower.conjugacy_classes, leaders):
-        cp = tuple(modrep.charpoly(modrep.mm(sig[a], ph[b], p), p))
-        cps.update((g, cp) for g in cls)
+    a, b = (list(x) for x in zip(*leaders))
+    elements = modrep.mm(powers(sigma, max(a))[a], powers(phi, max(b))[b], p)
+    cps = {g: tuple(cp) for cls, cp in zip(tower.conjugacy_classes, modrep.charpoly(elements, p))
+           for g in cls}
     return (sigma.shape[0], tuple(cps[g] for g in tower.group_elements()))
 
 
@@ -236,7 +234,10 @@ class EnumerationResult:
     seed: int = 0
 
 
-def _matrix_group_order(gens: list[np.ndarray], p: int, cap: int = 10 ** 6) -> int:
+MAX_GROUP_ORDER = 10 ** 6  # the closure search of a tame image stops past this
+
+
+def _matrix_group_order(gens: list[np.ndarray], p: int) -> int:
     dim = gens[0].shape[0]
     eye = np.eye(dim, dtype=np.int64)
     seen = {eye.tobytes()}
@@ -249,7 +250,7 @@ def _matrix_group_order(gens: list[np.ndarray], p: int, cap: int = 10 ** 6) -> i
             if key not in seen:
                 seen.add(key)
                 frontier.append(nxt)
-                if len(seen) > cap:
+                if len(seen) > MAX_GROUP_ORDER:
                     raise InvariantViolation("matrix group closure exceeded cap")
     return len(seen)
 

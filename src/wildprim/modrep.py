@@ -10,6 +10,10 @@ an inner width of BLAS_WIDTH, float64 on BLAS from there on, exact while
 width * (p - 1)^2 < 2^53 (Dumas, Giorgi, Pernet 2008), else InvariantViolation.
 Either way it is reduced once, in int64: a float64 product is cast first.
 
+charpoly is Berkowitz's division-free recurrence (Berkowitz 1984): no
+pivot, no swap, every product an mm, and a whole stack of same-size
+matrices in one call (a fingerprint passes one per conjugacy class).
+
 The module splitter (chop) is the usual randomized MeatAxe with Norton's
 irreducibility certificate, driven by a caller-supplied seed.  It splits V
 at a submodule U into U and V/U.  V/U is dual to the annihilator of U, which
@@ -40,6 +44,7 @@ from .errors import InvariantViolation, IterationBudgetExceeded
 
 BLAS_WIDTH = 32  # from this inner width on float64 wins (2-core host)
 MAX_HOM_LINES = 1 << 18  # admits Q_{2^16}, n = 1: 2^18 - 1 lines, the largest scan
+MAX_SPLIT_TRIES = 200  # random algebra elements the splitter tries per module
 
 
 def as_fp(A, p: int) -> np.ndarray:
@@ -157,42 +162,26 @@ def _echelon_insert(rows: list, pivots: list, v: np.ndarray, p: int) -> tuple[np
     return v, True
 
 
-def charpoly(M, p: int) -> list[int]:
-    """Characteristic polynomial det(xI - M) by Hessenberg reduction."""
+def charpoly(M, p: int) -> list:
+    """Characteristic polynomial det(xI - M), constant term first, by
+    Berkowitz's division-free recurrence.  M may be a stack (..., n, n):
+    the result is a list of ints for one matrix and nested lists for a
+    stack.  The leading block [[A, C], [R, a]] of size k + 1 multiplies the
+    coefficients (leading first) of the block A by the lower-triangular
+    Toeplitz matrix of 1, -a, -R C, -R A C, ..., -R A^(k-1) C."""
     M = as_fp(M, p)
-    n = M.shape[0]
-    if n == 0:
-        return [1]
-    H = [[int(x) for x in row] for row in M]
-    for j in range(n - 2):
-        pivot = next((i for i in range(j + 1, n) if H[i][j]), None)
-        if pivot is None:
-            continue
-        if pivot != j + 1:
-            H[pivot], H[j + 1] = H[j + 1], H[pivot]
-            for row in H:
-                row[pivot], row[j + 1] = row[j + 1], row[pivot]
-        inv = pow(H[j + 1][j], p - 2, p)
-        for i in range(j + 2, n):
-            if H[i][j]:
-                t = (H[i][j] * inv) % p
-                for c in range(n):
-                    H[i][c] = (H[i][c] - t * H[j + 1][c]) % p
-                for r in range(n):
-                    H[r][j + 1] = (H[r][j + 1] + t * H[r][i]) % p
-    polys = [[1]]
-    for m in range(1, n + 1):
-        cm = m - 1
-        term = gfpoly.mul([(-H[cm][cm]) % p, 1], polys[m - 1], p)
-        prod = 1
-        for i in range(1, m):
-            prod = (prod * H[cm - i + 1][cm - i]) % p
-            coeff = (H[cm - i][cm] * prod) % p
-            if coeff:
-                term = gfpoly.sub(term, gfpoly.scale(polys[m - 1 - i], coeff, p), p)
-        polys.append(term)
-    out = polys[n]
-    return list(out) + [0] * (n + 1 - len(out))
+    c = np.ones(M.shape[:-2] + (1, 1), dtype=np.int64)
+    for k in range(M.shape[-1]):
+        A, a = M[..., :k, :k], M[..., k:k + 1, k]
+        krylov = [M[..., :k, k:k + 1]]
+        for _ in range(1, k):
+            krylov.append(mm(A, krylov[-1], p))
+        # [..., :k] drops the one empty column at k = 0
+        rac = mm(M[..., k:k + 1, :k], np.concatenate(krylov, axis=-1)[..., :k], p)[..., 0, :]
+        t = np.concatenate([np.ones_like(a), -a, -rac], axis=-1)
+        # entry (i, j) is t[i - j]; tril zeroes the wrapped indices i < j
+        c = mm(np.tril(t[..., np.subtract.outer(np.arange(k + 2), np.arange(k + 1))]), c, p)
+    return c[..., ::-1, 0].tolist()
 
 
 def spin(gens, seeds, p: int) -> np.ndarray:
@@ -269,12 +258,12 @@ def _random_algebra_element(gens, p, rng: random.Random, complexity: int):
     return theta
 
 
-def _split_once(gens, p, rng, max_tries):
+def _split_once(gens, p, rng):
     """A proper nonzero submodule (row basis), or None when certified simple."""
     dim = gens[0].shape[0]
     if dim == 1:
         return None
-    for attempt in range(max_tries):
+    for attempt in range(MAX_SPLIT_TRIES):
         theta = _random_algebra_element(gens, p, rng, complexity=1 + attempt // 8)
         for factor in gfpoly.distinct_irreducible_factors(charpoly(theta, p), p):
             W = kernel(poly_eval_matrix(factor, theta, p), p)
@@ -290,10 +279,10 @@ def _split_once(gens, p, rng, max_tries):
                     return kernel(Ut, p)  # annihilator, a proper submodule
                 return None
     raise IterationBudgetExceeded(
-        f"module splitter exhausted {max_tries} attempts at dimension {dim}")
+        f"module splitter exhausted {MAX_SPLIT_TRIES} attempts at dimension {dim}")
 
 
-def chop(gens, p: int, seed: int = 0, max_tries: int = 200) -> list[Constituent]:
+def chop(gens, p: int, seed: int = 0) -> list[Constituent]:
     """Composition factors with multiplicities, grouped up to isomorphism.
 
     Output is sorted by dimension; callers wanting a finer canonical order
@@ -308,7 +297,7 @@ def chop(gens, p: int, seed: int = 0, max_tries: int = 200) -> list[Constituent]
         dim = current[0].shape[0]
         if dim == 0:
             continue
-        U = _split_once(current, p, rng, max_tries)
+        U = _split_once(current, p, rng)
         if U is not None:
             stack.append(restrict_action(current, U, p))
             # V/U is dual to the annihilator of U under the transposes
@@ -417,7 +406,8 @@ def _line_representatives(n: int, p: int):
         tail = n - lead - 1
         block = np.zeros((p ** tail, n), dtype=np.int64)
         block[:, lead] = 1
-        block[:, lead + 1:] = np.arange(p ** tail)[:, None] // p ** np.arange(tail) % p
+        for i in range(tail):
+            block[:, lead + 1 + i] = np.arange(p ** tail) // p ** i % p
         yield from block
 
 

@@ -246,7 +246,7 @@ def duality_checks(result: EnumerationResult) -> VerificationReport:
     tower = result.tower
     p = tower.p
     V = [result.matrices[tower.sigma], result.matrices[tower.phi]]
-    classes_n = [(c, [modrep.charpoly(g, p) for g in c.gens()])
+    classes_n = [(c, modrep.charpoly(np.stack(c.gens()), p))
                  for c in result.classes if c.dim == result.n]
     for k, record in enumerate(result.records):
         rows = np.array(record.d_basis, dtype=np.int64)
@@ -257,7 +257,7 @@ def duality_checks(result: EnumerationResult) -> VerificationReport:
         ok_twist = p != 2 or (np.array_equal(tw_s, dual_s) and np.array_equal(tw_p, dual_p))
         ok_rel = relations_hold(tower, tw_s, tw_p)
         ok_simple = modrep.is_simple([tw_s, tw_p], p)
-        polys = [modrep.charpoly(g, p) for g in (tw_s, tw_p)]
+        polys = modrep.charpoly(np.stack([tw_s, tw_p]), p)
         matches = [c.identifier for c, cps in classes_n
                    if cps == polys and modrep.hom_space([tw_s, tw_p], c.gens(), p)]
         ok_iso = len(matches) == 1

@@ -399,7 +399,7 @@ def test_q5_quintics_classical_count_and_mass():
     assert mass_check(BaseField(5, 1, 0)) == Fraction(5)
 
 
-@pytest.mark.parametrize("p", [7, 11, 13, 17])
+@pytest.mark.parametrize("p", [7, 11, 13, 17, 19, 23])
 def test_serre_mass_equals_p(p):
     from wildprim.verify import mass_check
     assert mass_check(BaseField(p, 1, 0)) == p

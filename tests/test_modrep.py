@@ -1,9 +1,11 @@
+import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from wildprim import modrep
+from wildprim import gfpoly, modrep
 from wildprim.classmod import artinschreier_basis, galois_matrices, kummer_basis
 from wildprim.enumerator import simple_classes
 from wildprim.errors import InvariantViolation
@@ -196,6 +198,80 @@ def test_charpoly_random_matches_eigen_structure():
             assert len(cp) == n + 1 and cp[-1] == 1
             # Cayley-Hamilton
             assert not np.any(modrep.poly_eval_matrix(cp, A, p))
+
+
+def hessenberg_charpoly(M, p):
+    """det(xI - M), constant term first, by Hessenberg reduction with a
+    pivot search and the Hessenberg recurrence: a reference for charpoly
+    that shares none of its method."""
+    M = np.asarray(M, dtype=np.int64) % p
+    n = M.shape[0]
+    if n == 0:
+        return [1]
+    H = [[int(x) for x in row] for row in M]
+    for j in range(n - 2):
+        pivot = next((i for i in range(j + 1, n) if H[i][j]), None)
+        if pivot is None:
+            continue
+        if pivot != j + 1:
+            H[pivot], H[j + 1] = H[j + 1], H[pivot]
+            for row in H:
+                row[pivot], row[j + 1] = row[j + 1], row[pivot]
+        inv = pow(H[j + 1][j], p - 2, p)
+        for i in range(j + 2, n):
+            if H[i][j]:
+                t = (H[i][j] * inv) % p
+                for c in range(n):
+                    H[i][c] = (H[i][c] - t * H[j + 1][c]) % p
+                for r in range(n):
+                    H[r][j + 1] = (H[r][j + 1] + t * H[r][i]) % p
+    polys = [[1]]
+    for m in range(1, n + 1):
+        cm = m - 1
+        term = gfpoly.mul([(-H[cm][cm]) % p, 1], polys[m - 1], p)
+        prod = 1
+        for i in range(1, m):
+            prod = (prod * H[cm - i + 1][cm - i]) % p
+            coeff = (H[cm - i][cm] * prod) % p
+            if coeff:
+                term = gfpoly.sub(term, gfpoly.scale(polys[m - 1 - i], coeff, p), p)
+        polys.append(term)
+    out = polys[n]
+    return list(out) + [0] * (n + 1 - len(out))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 61])
+def test_charpoly_matches_the_hessenberg_reference(p):
+    # random matrices of every size up to 40 (from 32 on, mm takes its
+    # float64 branch), and zero, nilpotent and permutation matrices, whose
+    # zero subdiagonals send the reference down its pivot search
+    rng = np.random.default_rng(p)
+    mats = [rng.integers(0, p, (n, n)) for n in range(41)]
+    for n in (1, 2, 5, 17, 33, 40):
+        mats += [np.zeros((n, n), dtype=np.int64),
+                 np.triu(rng.integers(0, p, (n, n)), 1),
+                 np.eye(n, dtype=np.int64)[rng.permutation(n)]]
+    for M in mats:
+        assert charpoly(M, p) == hessenberg_charpoly(M, p)
+    # a stack gives the per-matrix results, whatever its leading shape
+    for shape in [(6, 5, 5), (3, 33, 33), (2, 3, 4, 4)]:
+        S = rng.integers(0, p, shape)
+        flat = [hessenberg_charpoly(M, p) for M in S.reshape(-1, *shape[-2:])]
+        assert charpoly(S, p) == np.array(flat).reshape(*shape[:-2], -1).tolist()
+    assert charpoly(np.zeros((3, 0, 0), dtype=np.int64), p) == [[1], [1], [1]]
+
+
+def test_fingerprint_takes_one_charpoly_call_per_class(monkeypatch):
+    # one stacked call for the fingerprint and one in _inertia_exponent
+    calls = []
+    real = modrep.charpoly
+
+    def counting(M, p):
+        calls.append(1)
+        return real(M, p)
+    monkeypatch.setattr(modrep, "charpoly", counting)
+    classes = simple_classes(build_tower(BaseField(2, 1, 0), 3))
+    assert len(calls) == 2 * len(classes)
 
 
 def least_monic_annihilator(M, p):
@@ -646,6 +722,23 @@ def test_brute_matches_full_scan_at_p3():
             assert [tuple(r.ravel()) for r in brute] == sorted(full)
 
 
+def test_line_representatives_list_each_line_once_in_bounded_memory():
+    # the vectors whose first nonzero coordinate is 1, lead by lead, the
+    # coordinate after the lead varying fastest; each lead's block is filled
+    # in place, so building the largest one costs little beyond its bytes
+    n, p = 11, 3
+    expected = [(0,) * lead + (1,) + tail[::-1] for lead in range(n)
+                for tail in itertools.product(range(p), repeat=n - lead - 1)]
+    assert [tuple(v) for v in modrep._line_representatives(n, p)] == expected
+    tracemalloc.start()
+    try:
+        next(modrep._line_representatives(n, p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * p ** (n - 1) * n * 8
+
+
 def test_is_simple_rejects_reducible():
     assert not modrep.is_simple(c3_regular_gens(), 2)
     classes = chop(c3_regular_gens(), 2)
@@ -653,7 +746,8 @@ def test_is_simple_rejects_reducible():
         assert modrep.is_simple(c.gens, 2)
 
 
-def test_split_budget_reports_instead_of_looping():
+def test_split_budget_reports_instead_of_looping(monkeypatch):
     from wildprim.errors import IterationBudgetExceeded
+    monkeypatch.setattr(modrep, "MAX_SPLIT_TRIES", 0)
     with pytest.raises(IterationBudgetExceeded):
-        modrep.chop(c3_regular_gens(), 2, max_tries=0)
+        modrep.chop(c3_regular_gens(), 2)

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -180,3 +183,30 @@ def test_readme_record_table_is_the_record_schema():
     schema = [f.name for f in fields(ExtensionRecord)]
     assert documented == schema
     assert CSV_COLUMNS == ["p", "f", "char"] + [n for n in schema if n != "base"]
+
+
+# the benchmark's setup path, in a fresh interpreter: numpy is imported
+# first, so what loads after it is what wildprim's import and one small
+# catalog cost; it prints the modules that were loaded after numpy
+SETUP_PATH = """
+import sys
+import numpy
+before = set(sys.modules)
+import wildprim
+from wildprim import serialize
+serialize.to_json_bytes(wildprim.enumerate_primitive(wildprim.BaseField(2, 1, 0), 1,
+                                                     use_cache=False))
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_setup_path_loads_only_the_standard_library_and_wildprim():
+    # a lazily imported numpy submodule (np.unique's numpy.ma, say) or a
+    # third-party import would be paid in every fresh process that builds
+    # a catalog
+    proc = subprocess.run([sys.executable, "-c", SETUP_PATH], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, check=True, timeout=120)
+    loaded = proc.stdout.split()
+    assert "wildprim.serialize" in loaded
+    assert [name for name in loaded if name.split(".")[0] != "wildprim"
+            and name.split(".")[0] not in sys.stdlib_module_names] == []
