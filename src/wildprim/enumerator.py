@@ -75,10 +75,15 @@ def fingerprint(tower: TameTower, sigma: np.ndarray, phi: np.ndarray) -> tuple:
     return (sigma.shape[0], tuple(cps[g] for g in tower.group_elements()))
 
 
-def _inertia_exponent(tower: TameTower, sigma: np.ndarray) -> int:
+def sigma_charpoly(tower: TameTower, fp: tuple) -> tuple:
+    """Sigma's characteristic polynomial, read from a class's fingerprint fp:
+    the entry of tower.sigma = (1 % e, 0) among the lex-ordered elements."""
+    return fp[1][(1 % tower.e) * tower.s * tower.e]
+
+
+def _inertia_exponent(tower: TameTower, cp: tuple) -> int:
     """Smallest power of the canonical inertia character theta through which
-    inertia acts on an eigenline of the class (advisory metadata)."""
-    cp = modrep.charpoly(sigma, tower.p)
+    inertia acts on an eigenline of sigma, cp its charpoly (advisory metadata)."""
     F = tower.residue
     for k in range(tower.e):
         zk = tower.zeta ** k
@@ -173,14 +178,15 @@ def simple_classes(tower: TameTower) -> list[SimpleClassInfo]:
                 if rows.shape[0] != d * t:
                     raise InvariantViolation("Galois descent lost dimensions")
                 sigma, phi = modrep.restrict_action([sigma, phi], rows, p)
+            fp = fingerprint(tower, sigma, phi)
             infos.append(SimpleClassInfo(
                 identifier="",
                 dim=d * t,
                 sigma=sigma,
                 phi=phi,
                 end_degree=d,
-                inertia_exponent=_inertia_exponent(tower, sigma),
-                fingerprint=fingerprint(tower, sigma, phi),
+                inertia_exponent=_inertia_exponent(tower, sigma_charpoly(tower, fp)),
+                fingerprint=fp,
                 multiplicity_in_regular=se // L * _pprime_part(t, p),
             ))
     infos.sort(key=lambda c: c.fingerprint)
@@ -357,7 +363,7 @@ def enumerate_primitive(base: BaseField, n: int, *, level_bound: int | None = No
     classes = simple_classes(tower)
     degree_classes = [c for c in classes if c.dim == n]
     closures = [closure_descriptor(tower, *cls.gens(), omega) for cls in degree_classes]
-    polys = [tuple(modrep.charpoly(cls.sigma, tower.p)) for cls in degree_classes]
+    polys = [sigma_charpoly(tower, cls.fingerprint) for cls in degree_classes]
     parts = {c: modrep.isotypic_part(gens_V, list(c), tower.p) for c in set(polys)}
     # an rref basis times the rref rows W of the part is the rref of its image in V
     records = [_record_for(tower, basis, cls, modrep.mm(rows, parts[c][0], tower.p), closure)

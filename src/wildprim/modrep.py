@@ -28,6 +28,10 @@ characteristic polynomial of the first generator on S (condensation, Lux,
 Mueller, Ringe 1994).  enumerate_simple_submodules takes one map per
 F_p-line of Hom(S, part) and groups the maps by image; it needs the End
 degree of S, which the caller knows, and never builds End(S).
+
+The brute-force oracle spins one vector per F_p-line of V, in blocks of
+LINE_BLOCK lines spun in lockstep: spin_stack takes every spin of a block
+one level at a time, each level one rref_stack over the whole block.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from . import gfpoly
 from .errors import InvariantViolation, IterationBudgetExceeded
 
 BLAS_WIDTH = 32  # from this inner width on float64 wins (2-core host)
+LINE_BLOCK = 1 << 12  # lines spun in lockstep; a block peaks near 7 MB at dim 14
 MAX_HOM_LINES = 1 << 18  # admits Q_{2^16}, n = 1: 2^18 - 1 lines, the largest scan
 MAX_SPLIT_TRIES = 200  # random algebra elements the splitter tries per module
 
@@ -186,28 +191,66 @@ def charpoly(M, p: int) -> list:
 
 def spin(gens, seeds, p: int) -> np.ndarray:
     """Canonical row basis of the smallest invariant subspace holding seeds."""
-    gens_t = [np.ascontiguousarray(as_fp(M, p).T) for M in gens]
-    return _spin(gens_t, list(as_fp(np.atleast_2d(seeds), p)), p)
-
-
-def _spin(gens_t, seeds, p: int, limit: int | None = None) -> np.ndarray:
-    """spin of reduced seeds under reduced generators transposed once
-    (v -> v M^T).  With a limit, the spin stops once its span has limit + 1
-    rows and returns those rows; a spin of at most limit rows never gets
-    there and comes back whole, exactly as without the limit."""
+    gens_t = [np.ascontiguousarray(as_fp(M, p).T) for M in gens]  # v -> v M^T
     dim = gens_t[0].shape[0]
-    cap = dim if limit is None else min(dim, limit + 1)
     rows: list[np.ndarray] = []
     pivots: list[int] = []
-    queue = deque(seeds)
-    while queue and len(rows) < cap:
+    queue = deque(as_fp(np.atleast_2d(seeds), p))
+    while queue and len(rows) < dim:
         v, inserted = _echelon_insert(rows, pivots, queue.popleft(), p)
-        if inserted and len(rows) < cap:
+        if inserted and len(rows) < dim:
             for Mt in gens_t:
                 queue.append(mm(v, Mt, p))
-    if not rows:
-        return np.zeros((0, dim), dtype=np.int64)
-    return np.stack(rows)
+    return np.stack(rows) if rows else np.zeros((0, dim), dtype=np.int64)
+
+
+def rref_stack(A, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """rref of every matrix of an (N, r, c) stack, column by column over the
+    whole stack: the first ranks[i] rows of R[i] are rref(A[i], p)[0], the
+    other rows are zero."""
+    A = as_fp(A, p)  # a fresh array
+    N, nrows, ncols = A.shape
+    ranks = np.zeros(N, dtype=np.int64)
+    for c in range(ncols):
+        if np.all(ranks == nrows):
+            break
+        cand = (A[:, :, c] != 0) & (np.arange(nrows) >= ranks[:, None])
+        sel = np.flatnonzero(cand.any(axis=1))
+        at, r = cand[sel].argmax(axis=1), ranks[sel]
+        pivot = A[sel, at]
+        A[sel, at] = A[sel, r]
+        # a^-1 = a^(p-2), by square and multiply over the stack
+        a, inv, e = pivot[:, c], np.ones(len(sel), dtype=np.int64), p - 2
+        while e:
+            inv = inv * a % p if e & 1 else inv
+            a, e = a * a % p, e >> 1
+        pivot = pivot * inv[:, None] % p
+        # rows from r on are zero left of c: eliminate from c, in place on a copy
+        rows = A[sel, :, c:]
+        rows -= rows[:, :, :1] * pivot[:, None, c:]
+        rows %= p
+        A[sel, :, c:] = rows
+        A[sel, r] = pivot
+        ranks[sel] += 1
+    return A, ranks
+
+
+def spin_stack(gens, seeds, p: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each seed row's spin, all in lockstep: S <- rref_stack of [S; S g for
+    every g] per level, until a rank stops growing or reaches cap.  Returns
+    rows (N, min(cap, dim), dim) and ranks clipped at cap: rows[i, :ranks[i]]
+    is spin(gens, seeds[i], p) below cap, and cap independent rows of it at cap."""
+    gens_t = [as_fp(M, p).T for M in gens]
+    seeds = as_fp(seeds, p)
+    rows = np.zeros((len(seeds), min(cap, seeds.shape[1]), seeds.shape[1]), dtype=np.int64)
+    rows[:, :1], ranks = rref_stack(seeds[:, None, :], p)
+    live = np.flatnonzero(ranks < cap)
+    while live.size:
+        S = rows[live, :ranks[live].max()]
+        S, new = rref_stack(np.concatenate([S] + [mm(S, Mt, p) for Mt in gens_t], axis=1), p)
+        rows[live, :S.shape[1]] = S[:, :rows.shape[1]]
+        ranks[live], live = np.minimum(new, cap), live[(new > ranks[live]) & (new < cap)]
+    return rows, ranks
 
 
 def _echelon(rows: np.ndarray, p: int) -> tuple[list, list]:
@@ -383,13 +426,13 @@ def enumerate_simple_submodules(gens_V, gens_S, end_degree: int,
     if any(np.any(mm(MV, stacked, p) != mm(stacked, MS, p)) for MV, MS in zip(gens_V, gens_S)):
         raise InvariantViolation("a map of Hom(S, V) is not equivariant")
     hits: dict[bytes, list] = {}  # image key -> [rows, times reached]
-    lines = np.stack(list(_line_representatives(len(H), p)))
-    for h in mm(lines, stacked.reshape(len(H), -1), p).reshape(-1, *stacked.shape[1:]):
-        ech = _echelon(h.T, p)[0]
-        if len(ech) != n:
-            raise InvariantViolation("hom from a simple module must be injective")
-        rows = np.stack(ech)
-        hits.setdefault(rows.tobytes(), [rows, 0])[1] += 1
+    for lines in _line_blocks(len(H), p):
+        for h in mm(lines, stacked.reshape(len(H), -1), p).reshape(-1, *stacked.shape[1:]):
+            ech = _echelon(h.T, p)[0]
+            if len(ech) != n:
+                raise InvariantViolation("hom from a simple module must be injective")
+            rows = np.stack(ech)
+            hits.setdefault(rows.tobytes(), [rows, 0])[1] += 1
     per_image = (p ** end_degree - 1) // (p - 1)
     for rows, times in hits.values():
         if times != per_image:
@@ -399,16 +442,21 @@ def enumerate_simple_submodules(gens_V, gens_S, end_degree: int,
     return sorted((rows for rows, _ in hits.values()), key=lambda rows: tuple(rows.ravel()))
 
 
-def _line_representatives(n: int, p: int):
-    """One nonzero vector of F_p^n per line: those whose first nonzero
-    coordinate is 1.  A vector and its multiples spin the same subspace."""
+def _line_blocks(n: int, p: int):
+    """One nonzero vector of F_p^n per line, those whose first nonzero
+    coordinate is 1, lead by lead with the coordinate after the lead varying
+    fastest, in blocks of at most LINE_BLOCK rows.  A vector and its
+    multiples spin the same subspace."""
     for lead in range(n):
-        tail = n - lead - 1
-        block = np.zeros((p ** tail, n), dtype=np.int64)
-        block[:, lead] = 1
-        for i in range(tail):
-            block[:, lead + 1 + i] = np.arange(p ** tail) // p ** i % p
-        yield from block
+        size = p ** (n - lead - 1)
+        for start in range(0, size, LINE_BLOCK):
+            block = np.zeros((min(LINE_BLOCK, size - start), n), dtype=np.int64)
+            block[:, lead] = 1
+            code = np.arange(start, start + len(block))
+            for col in range(lead + 1, n):
+                np.remainder(code, p, out=block[:, col])
+                code //= p
+            yield block
 
 
 def is_simple(sub_gens, p: int) -> bool:
@@ -417,7 +465,7 @@ def is_simple(sub_gens, p: int) -> bool:
     line.  A line always is."""
     n = sub_gens[0].shape[0]
     return n == 1 or all(spin(sub_gens, v, p).shape[0] == n
-                         for v in _line_representatives(n, p))
+                         for block in _line_blocks(n, p) for v in block)
 
 
 def brute_feasible(dim: int, p: int) -> bool:
@@ -430,22 +478,18 @@ def brute_simple_submodules(gens_V, n: int, p: int):
 
     Every simple submodule is the spin of each of its nonzero vectors, so
     collecting n-dimensional spins and filtering for simplicity is complete.
-    A spin stops once it passes n rows: its row count never shrinks, so it
-    would be discarded, and no spin inside an n-dimensional submodule does.
+    One spin_stack per line block stops each spin once it passes n rows: its
+    row count never shrinks, so it would be discarded, and no spin inside an
+    n-dimensional submodule does.  Each distinct candidate is tested once.
     """
     gens_V = [as_fp(M, p) for M in gens_V]
     dim = gens_V[0].shape[0]
     if not brute_feasible(dim, p):
         raise ValueError(f"brute enumeration infeasible at dimension {dim}")
-    gens_t = [np.ascontiguousarray(M.T) for M in gens_V]
-    seen = {}
-    for v in _line_representatives(dim, p):
-        rows = _spin(gens_t, [v], p, limit=n)
-        if rows.shape[0] != n:
-            continue
-        key = tuple(rows.ravel())
-        if key in seen:
-            continue
-        if is_simple(restrict_action(gens_V, rows, p), p):
-            seen[key] = rows
-    return [seen[k] for k in sorted(seen)]
+    simple: dict[tuple, bool] = {}  # every distinct candidate, certified once
+    for block in _line_blocks(dim, p):
+        rows, ranks = spin_stack(gens_V, block, p, n + 1)
+        for sub in rows[ranks == n, :n]:
+            if (key := tuple(sub.ravel().tolist())) not in simple:
+                simple[key] = is_simple(restrict_action(gens_V, sub, p), p)
+    return [np.array(key, dtype=np.int64).reshape(n, dim) for key in sorted(simple) if simple[key]]

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import modrep
 from .classmod import reduce_class, relations_hold
-from .enumerator import (EnumerationResult, SimpleClassInfo,
-                         enumerate_primitive, fingerprint,
-                         level_divisibility_holds, simple_classes)
+from .enumerator import (EnumerationResult, SimpleClassInfo, enumerate_primitive,
+                         fingerprint, level_divisibility_holds, sigma_charpoly,
+                         simple_classes)
 from .finitefield import abs_trace
 from .tower import BaseField, TameTower
 
@@ -153,7 +153,7 @@ def structure_checks(result: EnumerationResult) -> VerificationReport:
         expected_dim = tower.group_order * f + 2
         report.add(f"dim[{_tag(result)}]", result.basis.dim, expected_dim)
         om_s, om_p = result.omega[tower.sigma], result.omega[tower.phi]
-        polys = [tuple(modrep.charpoly(cls.sigma, p)) for cls in result.classes]
+        polys = [sigma_charpoly(tower, cls.fingerprint) for cls in result.classes]
         parts = {c: modrep.isotypic_part(V, list(c), p)[1] for c in set(polys)}
         for cls, c in zip(result.classes, polys):
             hom_dim = len(modrep.hom_space(cls.gens(), parts[c], p))

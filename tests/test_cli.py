@@ -169,7 +169,7 @@ def test_exponential_hom_scan_is_refused(tmp_path, monkeypatch, capsys):
 
     def forbidden(*args):
         raise AssertionError("the line table was built")
-    monkeypatch.setattr(modrep, "_line_representatives", forbidden)
+    monkeypatch.setattr(modrep, "_line_blocks", forbidden)
     code = run(["enumerate", "--p", "2", "--f", "17", "--char", "0", "--n", "1"],
                tmp_path, monkeypatch)
     assert code == 1

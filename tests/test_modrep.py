@@ -7,13 +7,13 @@ import pytest
 
 from wildprim import gfpoly, modrep
 from wildprim.classmod import artinschreier_basis, galois_matrices, kummer_basis
-from wildprim.enumerator import simple_classes
+from wildprim.enumerator import enumerate_primitive, simple_classes
 from wildprim.errors import InvariantViolation
 from wildprim.modrep import (
     brute_feasible, brute_simple_submodules, charpoly, chop,
     enumerate_simple_submodules, hom_space, in_row_space, inv_mat,
     isotypic_part, kernel, poly_eval_matrix, rank, restrict_action, rref,
-    solve, spin,
+    rref_stack, solve, spin, spin_stack,
 )
 from wildprim.tower import BaseField, build_tower
 
@@ -152,9 +152,9 @@ def test_spin_of_nonfixed_vector_fills_module():
 
 
 def _limited_spin(gens, v, p, limit):
-    """The brute scan's bounded spin: _spin on the generators transposed."""
-    return modrep._spin([np.ascontiguousarray(M.T) for M in gens], [np.array(v)], p,
-                        limit=limit)
+    """The brute scan's bounded spin: spin_stack of one seed at cap limit + 1."""
+    rows, ranks = spin_stack(gens, np.array([v]), p, limit + 1)
+    return rows[0, :ranks[0]]
 
 
 def test_spin_with_a_limit():
@@ -177,6 +177,44 @@ def test_spin_with_a_limit_of_dim_or_more_is_unbounded():
         v = np.array([(code >> i) & 1 for i in range(3)])
         for limit in (3, 4, 10):
             assert np.array_equal(_limited_spin(gens, v, 2, limit), spin(gens, v, 2))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 61, 4194301])
+def test_rref_stack_is_rref_matrix_by_matrix(p):
+    rng = np.random.default_rng(p)
+    for shape in [(0, 3, 4), (4, 0, 5), (4, 3, 0), (30, 4, 6), (30, 7, 3), (30, 5, 5), (8, 1, 4)]:
+        A = rng.integers(0, p, shape)
+        if shape[0] == 30:
+            A[0] = 0  # a zero matrix
+            A[1:10, -1] = A[1:10, 0] * 2 % p  # two proportional rows
+            A[10:20] = A[10:20, :, :1] * rng.integers(0, p, (10, 1, shape[2])) % p  # rank <= 1
+        R, ranks = rref_stack(A, p)
+        assert R.shape == A.shape and ranks.shape == (shape[0],)
+        for Ai, Ri, k in zip(A, R, ranks):
+            assert k == rank(Ai, p)
+            assert np.array_equal(Ri[:k], rref(Ai, p)[0]) and not Ri[k:].any()
+
+
+@pytest.mark.parametrize("p,gens,seeds", [
+    (2, [np.array([[0, 1, 1, 0], [1, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]])],
+     [[int(b) for b in f"{code:04b}"] for code in range(16)]),
+    (3, [np.diag([1, 2, 2, 1, 0]), np.eye(5, dtype=np.int64)[[1, 0, 2, 4, 3]]],
+     np.random.default_rng(3).integers(0, 3, (40, 5))),
+])
+def test_spin_stack_is_spin_seed_by_seed(p, gens, seeds):
+    seeds = np.array(seeds)
+    dim = seeds.shape[1]
+    seeds[:2] = 0  # zero seeds spin the zero subspace
+    full = [spin(gens, v, p) for v in seeds]
+    for cap in range(1, dim + 2):
+        rows, ranks = spin_stack(gens, seeds, p, cap)
+        assert rows.shape == (len(seeds), min(cap, dim), dim)
+        for v, R, k, S in zip(seeds, rows, ranks, full):
+            assert k == min(len(S), cap) and rank(R[:k], p) == k
+            if k < cap:
+                assert np.array_equal(R[:k], S) and not R[k:].any()
+            else:  # cap rows of the spin
+                assert rank(np.vstack([S, R[:k]]), p) == len(S)
 
 
 def test_minpoly_and_charpoly_agree_on_companion():
@@ -262,7 +300,8 @@ def test_charpoly_matches_the_hessenberg_reference(p):
 
 
 def test_fingerprint_takes_one_charpoly_call_per_class(monkeypatch):
-    # one stacked call for the fingerprint and one in _inertia_exponent
+    # one stacked call for the fingerprint; the inertia exponent, the
+    # isotypic parts and the structure checks read sigma's entry from it
     calls = []
     real = modrep.charpoly
 
@@ -271,7 +310,10 @@ def test_fingerprint_takes_one_charpoly_call_per_class(monkeypatch):
         return real(M, p)
     monkeypatch.setattr(modrep, "charpoly", counting)
     classes = simple_classes(build_tower(BaseField(2, 1, 0), 3))
-    assert len(calls) == 2 * len(classes)
+    assert len(calls) == len(classes)
+    calls.clear()
+    result = enumerate_primitive(BaseField(2, 1, 0), 3)
+    assert len(calls) == len(result.classes)
 
 
 def least_monic_annihilator(M, p):
@@ -722,21 +764,63 @@ def test_brute_matches_full_scan_at_p3():
             assert [tuple(r.ravel()) for r in brute] == sorted(full)
 
 
-def test_line_representatives_list_each_line_once_in_bounded_memory():
+def test_line_blocks_list_each_line_once_in_bounded_memory():
     # the vectors whose first nonzero coordinate is 1, lead by lead, the
-    # coordinate after the lead varying fastest; each lead's block is filled
-    # in place, so building the largest one costs little beyond its bytes
+    # coordinate after the lead varying fastest, in blocks of at most
+    # LINE_BLOCK rows; a block is filled in place, so building one costs
+    # little beyond its bytes
     n, p = 11, 3
     expected = [(0,) * lead + (1,) + tail[::-1] for lead in range(n)
                 for tail in itertools.product(range(p), repeat=n - lead - 1)]
-    assert [tuple(v) for v in modrep._line_representatives(n, p)] == expected
+    blocks = list(modrep._line_blocks(n, p))
+    assert [tuple(v) for block in blocks for v in block] == expected
+    assert all(0 < len(block) <= modrep.LINE_BLOCK for block in blocks)
     tracemalloc.start()
     try:
-        next(modrep._line_representatives(n, p))
+        next(modrep._line_blocks(n, p))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * p ** (n - 1) * n * 8
+    assert peak < 1.25 * modrep.LINE_BLOCK * n * 8
+
+
+def _brute_peak(dim):
+    """tracemalloc's peak over the brute scan of the cyclic shift on F_2^dim."""
+    shift = np.roll(np.eye(dim, dtype=np.int64), 1, axis=0)
+    tracemalloc.start()
+    try:
+        brute_simple_submodules([shift], 1, 2)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_brute_scan_memory_is_bounded_by_the_line_block():
+    # twice the lines, but no block holds more than LINE_BLOCK of them: at
+    # dim 13 the first lead alone fills one block, at dim 14 it fills two
+    assert _brute_peak(14) < 1.5 * _brute_peak(13)
+
+
+def test_brute_scan_spins_each_line_block_in_lockstep(monkeypatch):
+    # F_3((t)), n = 1, level bound 4: no spin of a single line, one
+    # spin_stack per line block
+    result = enumerate_primitive(BaseField(3, 1, 3), 1, level_bound=4)
+    tower = result.tower
+    V = [result.matrices[tower.sigma], result.matrices[tower.phi]]
+    calls = []
+    real = modrep.spin_stack
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    def forbidden(*args):
+        raise AssertionError("a line was spun on its own")
+    monkeypatch.setattr(modrep, "spin_stack", counting)
+    monkeypatch.setattr(modrep, "spin", forbidden)
+    found = brute_simple_submodules(V, 1, 3)
+    assert len(found) == len(result.records)
+    assert 0 < len(calls) <= len(list(modrep._line_blocks(V[0].shape[0], 3)))
 
 
 def test_is_simple_rejects_reducible():
