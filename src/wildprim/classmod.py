@@ -297,31 +297,32 @@ def relations_hold(tower: TameTower, sigma: np.ndarray, phi: np.ndarray) -> bool
                                modrep.mm(pw(sigma, tower.base.q % e, p), phi, p)))
 
 
-def filtration_index(basis: ClassBasis, rows: np.ndarray):
-    """(index, straddle_flag) for a subspace given by coordinate rows.
+def filtration_index(basis: ClassBasis, stack: np.ndarray):
+    """Arrays (index, straddle_flag) for an (N, n, dim) stack of subspaces,
+    each given by n coordinate rows.
 
     Char 0: the unique i with D inside the span of basis vectors of index
     >= i meeting the index >= i+1 span trivially; char p: the analogous
     statement with pole orders <= i, reported as the paper-style negative
-    filtration position -max_pole.  straddle_flag is True when the meet is
-    nonzero (impossible for Galois-stable simple subspaces).
+    filtration position -max_pole, both a masked min over each support.
+    straddle_flag is True when the meet is nonzero (impossible for stable
+    simple subspaces): when the rows lose rank on the columns of index <= i.
+    All but those at D's extreme level are zero, so one rref_stack over just
+    those, at the widest level's width, ranks the whole stack.
     """
     p = basis.tower.p
-    rows = modrep.as_fp(rows, p)
-    levels = basis.levels()
-    support = np.any(rows, axis=0)
-    if not support.any():
+    stack = modrep.as_fp(stack, p)
+    support = stack.any(axis=1)
+    if not support.any(axis=1).all():
         raise ValueError("the zero subspace has no filtration index")
-    if basis.char == 0:
-        i_star = int(levels[support].min())
-        keep = levels <= i_star
-    else:
-        # stored levels are pole orders; filtration position is their negative
-        i_star = -int(levels[support].max())
-        keep = levels >= -i_star
-    # D meets the deeper span exactly when its rows lose rank on the rest
-    straddle = modrep.rank(rows[:, keep], p) < len(rows)
-    return i_star, straddle
+    # stored char p levels are pole orders: the extreme one is the largest
+    sign = 1 if basis.char == 0 else -1
+    levels = sign * basis.levels()
+    i_star = np.where(support, levels, levels.max() + 1).min(axis=1)
+    at = levels == i_star[:, None]
+    cols = np.argsort(~at, axis=1, kind="stable")[:, :at.sum(axis=1).max()]
+    narrow = np.take_along_axis(stack * at[:, None, :], cols[:, None, :], axis=2)
+    return i_star, modrep.rref_stack(narrow, p)[1] < stack.shape[1]
 
 
 def level_of(basis: ClassBasis, i_star: int) -> int:

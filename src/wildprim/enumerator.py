@@ -298,44 +298,46 @@ def level_divisibility_holds(tower: TameTower, basis: ClassBasis, delta: int) ->
         delta == 0 or (tower.base.char == 0 and delta == p * basis.c_index))
 
 
-def _record_for(tower: TameTower, basis: ClassBasis, cls: SimpleClassInfo,
-                rows: np.ndarray, closure: tuple) -> ExtensionRecord:
-    """The record of the parameter subspace rows of class cls, whose
-    closure_descriptor is closure (a class invariant, taken once)."""
+def _records_for(tower: TameTower, basis: ClassBasis, owners: list[tuple],
+                 stack: np.ndarray) -> list[ExtensionRecord]:
+    """The records of an (N, n, dim V) stack of rref row bases, the i-th of
+    class owners[i][0] with closure_descriptor owners[i][1]."""
     p, n = tower.p, tower.n
-    i_star, straddle = filtration_index(basis, rows)
-    if straddle:
+    i_stars, straddle = filtration_index(basis, stack)
+    if straddle.any():
         raise InvariantViolation("a parameter subspace straddles the filtration")
-    delta = level_of(basis, i_star)
-    if not level_divisibility_holds(tower, basis, delta):
-        raise InvariantViolation(
-            f"level {delta} violates the divisibility constraint at n={n}")
-    unramified = delta == 0
-    if unramified and n != 1:
-        raise InvariantViolation("an unramified parameter can only occur at n = 1")
-    tres = tower.base.char == 0 and n == 1 and delta == p * basis.c_index
     degree = p ** n
-    d = 0 if unramified else delta + degree - 1
-    image_order, closure_order, label = closure
-    return ExtensionRecord(
-        base=tower.base.describe(),
-        n=n,
-        degree=degree,
-        rep_id=cls.identifier,
-        end_degree=cls.end_degree,
-        d_basis=[[int(x) for x in row] for row in rows],
-        filtration_index=i_star,
-        level=delta,
-        excess=delta,
-        different_exponent=d,
-        discriminant_exponent=d,
-        ram_index=1 if unramified else degree,
-        closure_image_order=image_order,
-        closure_order=closure_order,
-        closure_label=label,
-        unramified=unramified,
-        tres_ramifiee=tres,
-    )
+    records = []
+    for (cls, closure), rows, i_star in zip(owners, stack.tolist(), i_stars.tolist()):
+        delta = level_of(basis, i_star)
+        if not level_divisibility_holds(tower, basis, delta):
+            raise InvariantViolation(
+                f"level {delta} violates the divisibility constraint at n={n}")
+        unramified = delta == 0
+        if unramified and n != 1:
+            raise InvariantViolation("an unramified parameter can only occur at n = 1")
+        d = 0 if unramified else delta + degree - 1
+        image_order, closure_order, label = closure
+        records.append(ExtensionRecord(
+            base=tower.base.describe(),
+            n=n,
+            degree=degree,
+            rep_id=cls.identifier,
+            end_degree=cls.end_degree,
+            d_basis=rows,
+            filtration_index=i_star,
+            level=delta,
+            excess=delta,
+            different_exponent=d,
+            discriminant_exponent=d,
+            ram_index=1 if unramified else degree,
+            closure_image_order=image_order,
+            closure_order=closure_order,
+            closure_label=label,
+            unramified=unramified,
+            tres_ramifiee=tower.base.char == 0 and n == 1 and delta == p * basis.c_index,
+        ))
+    return records
 
 
 def enumerate_primitive(base: BaseField, n: int, *, level_bound: int | None = None,
@@ -365,14 +367,17 @@ def enumerate_primitive(base: BaseField, n: int, *, level_bound: int | None = No
     closures = [closure_descriptor(tower, *cls.gens(), omega) for cls in degree_classes]
     polys = [sigma_charpoly(tower, cls.fingerprint) for cls in degree_classes]
     parts = {c: modrep.isotypic_part(gens_V, list(c), tower.p) for c in set(polys)}
-    # an rref basis times the rref rows W of the part is the rref of its image in V
-    records = [_record_for(tower, basis, cls, modrep.mm(rows, parts[c][0], tower.p), closure)
-               for cls, closure, c in zip(degree_classes, closures, polys)
-               for rows in modrep.enumerate_simple_submodules(
-                   parts[c][1], cls.gens(), cls.end_degree, tower.p)]
+    owners, stacks = [], []
+    for cls, closure, c in zip(degree_classes, closures, polys):
+        subs = modrep.enumerate_simple_submodules(parts[c][1], cls.gens(), cls.end_degree, tower.p)
+        if subs:
+            # an rref basis times the rref rows W of the part is the rref of its image in V
+            stacks.append(modrep.mm(np.stack(subs), parts[c][0], tower.p))
+            owners += [(cls, closure)] * len(subs)
+    records = _records_for(tower, basis, owners, np.concatenate(stacks)) if stacks else []
     by_class = {cls.identifier: cls.fingerprint for cls in degree_classes}
-    records.sort(key=lambda r: (r.level, by_class[r.rep_id],
-                                tuple(x for row in r.d_basis for x in row)))
+    # every d_basis has n rows of length dim V, so the lists compare as the flat tuples
+    records.sort(key=lambda r: (r.level, by_class[r.rep_id], r.d_basis))
     return EnumerationResult(
         base=base, n=n, records=records, tower=tower, basis=basis,
         matrices=matrices, classes=classes, omega=omega, seed=seed)

@@ -439,24 +439,28 @@ def enumerate_simple_submodules(gens_V, gens_S, end_degree: int,
             raise InvariantViolation(
                 f"an image is reached by {times} lines of Hom, {per_image} "
                 f"expected at End degree {end_degree}")
-    return sorted((rows for rows, _ in hits.values()), key=lambda rows: tuple(rows.ravel()))
+    return sorted((rows for rows, _ in hits.values()), key=lambda rows: rows.ravel().tolist())
 
 
 def _line_blocks(n: int, p: int):
     """One nonzero vector of F_p^n per line, those whose first nonzero
     coordinate is 1, lead by lead with the coordinate after the lead varying
-    fastest, in blocks of at most LINE_BLOCK rows.  A vector and its
-    multiples spin the same subspace."""
-    for lead in range(n):
-        size = p ** (n - lead - 1)
-        for start in range(0, size, LINE_BLOCK):
-            block = np.zeros((min(LINE_BLOCK, size - start), n), dtype=np.int64)
-            block[:, lead] = 1
-            code = np.arange(start, start + len(block))
-            for col in range(lead + 1, n):
-                np.remainder(code, p, out=block[:, col])
-                code //= p
-            yield block
+    fastest, packed across leads into blocks of LINE_BLOCK rows (the last
+    may be shorter).  A vector and its multiples spin the same subspace."""
+    total = (p ** n - 1) // (p - 1)
+    for start in range(0, total, LINE_BLOCK):
+        block = np.zeros((min(LINE_BLOCK, total - start), n), dtype=np.int64)
+        for lead in range(n):
+            first = total - (p ** (n - lead) - 1) // (p - 1)  # the lead's first line
+            lo, hi = max(start, first), min(start + len(block), first + p ** (n - lead - 1))
+            if lo < hi:
+                rows = block[lo - start:hi - start]
+                rows[:, lead] = 1
+                code = np.arange(lo - first, hi - first)
+                for col in range(lead + 1, n):
+                    np.remainder(code, p, out=rows[:, col])
+                    code //= p
+        yield block
 
 
 def is_simple(sub_gens, p: int) -> bool:
@@ -492,4 +496,5 @@ def brute_simple_submodules(gens_V, n: int, p: int):
         for sub in rows[ranks == n, :n]:
             if (key := tuple(sub.ravel().tolist())) not in simple:
                 simple[key] = is_simple(restrict_action(gens_V, sub, p), p)
+        del rows, ranks  # not held while the next block spins
     return [np.array(key, dtype=np.int64).reshape(n, dim) for key in sorted(simple) if simple[key]]

@@ -207,16 +207,26 @@ def test_omega_for_q3_n1_is_inversion():
     assert om[t.sigma] == 2 and om[t.phi] == 2
 
 
+def _one(basis, rows):
+    """filtration_index of one subspace, as a stack of one, in Python types."""
+    i_star, straddle = filtration_index(basis, rows[None])
+    assert i_star.shape == straddle.shape == (1,)
+    return int(i_star[0]), bool(straddle[0])
+
+
 def test_filtration_index_of_boundary_and_uniformizer(q2n1):
     t, basis = q2n1
     bd = np.zeros((1, 3), dtype=np.int64)
     bd[0, basis.position("boundary", 2)] = 1
-    assert filtration_index(basis, bd) == (2, False)
-    assert level_of(basis, filtration_index(basis, bd)[0]) == 0
+    assert _one(basis, bd) == (2, False)
+    assert level_of(basis, _one(basis, bd)[0]) == 0
     uni = np.zeros((1, 3), dtype=np.int64)
     uni[0, basis.position("uniformizer-class", 0)] = 1
-    assert filtration_index(basis, uni) == (0, False)
-    assert level_of(basis, filtration_index(basis, uni)[0]) == 2
+    assert _one(basis, uni) == (0, False)
+    assert level_of(basis, _one(basis, uni)[0]) == 2
+    # both lines in one stack
+    i_star, straddle = filtration_index(basis, np.stack([bd, uni]))
+    assert i_star.tolist() == [2, 0] and straddle.tolist() == [False, False]
 
 
 # ---- equal characteristic ----
@@ -338,8 +348,7 @@ def test_filtration_straddle_flag(q2n1):
     rows = np.zeros((2, 3), dtype=np.int64)
     rows[0, basis.position("uniformizer-class", 0)] = 1
     rows[1, basis.position("boundary", 2)] = 1
-    i_star, straddle = filtration_index(basis, rows)
-    assert i_star == 0 and straddle
+    assert _one(basis, rows) == (0, True)
 
 
 def _filtration_index_by_kernel(basis, rows):
@@ -381,13 +390,43 @@ def test_filtration_index_matches_the_kernel_reference(base, n, bound):
         rows[:, cols] = [[rng.randrange(p) for _ in cols] for _ in rows]
         if not rows.any():
             continue
-        got = filtration_index(basis, rows)
+        got = _one(basis, rows)
         assert got == _filtration_index_by_kernel(basis, rows)
         straddles.add(got[1])
     assert straddles == {False, True}
     for k in (1, 3):
         with pytest.raises(ValueError, match="zero subspace"):
-            filtration_index(basis, np.zeros((k, basis.dim), dtype=np.int64))
+            filtration_index(basis, np.zeros((1, k, basis.dim), dtype=np.int64))
+        # one zero subspace in a stack is refused too
+        stack = np.zeros((2, k, basis.dim), dtype=np.int64)
+        stack[0, 0, 0] = 1
+        with pytest.raises(ValueError, match="zero subspace"):
+            filtration_index(basis, stack)
+
+
+@pytest.mark.parametrize("base,n,bound", [
+    (Q2, 2, None), (Q3, 1, None), (F4T, 1, 7), (BaseField(3, 1, 3), 1, 8),
+], ids=["Q_2,n=2", "Q_3,n=1", "F_4((t)),n=1,B=7", "F_3((t)),n=1,B=8"])
+def test_filtration_index_of_a_stack_matches_its_members(base, n, bound):
+    # a stack mixing subspaces of different levels, each extreme level with
+    # its own number of columns, some straddling and some not, gives the
+    # results of its members checked one at a time
+    t = build_tower(base, n)
+    basis = kummer_basis(t) if base.char == 0 else artinschreier_basis(t, bound)
+    p = t.p
+    levels = basis.levels()
+    distinct = sorted(set(levels.tolist()))
+    rng = random.Random(5)
+    stack = np.zeros((120, 2, basis.dim), dtype=np.int64)
+    for rows in stack:
+        lo, hi = sorted(rng.sample(distinct, 2))
+        cols = np.flatnonzero((levels >= lo) & (levels <= (lo if rng.random() < 0.5 else hi)))
+        while not rows.any():
+            rows[:, cols] = [[rng.randrange(p) for _ in cols] for _ in rows]
+    i_star, straddle = filtration_index(basis, stack)
+    members = [_one(basis, rows) for rows in stack]
+    assert list(zip(i_star.tolist(), straddle.tolist())) == members
+    assert len({i for i, _ in members}) > 2 and {s for _, s in members} == {False, True}
 
 
 def test_reduce_charp_pole_beyond_bound_raises():

@@ -246,20 +246,21 @@ def test_charp_pipeline_builds_no_ring_element(monkeypatch):
     assert res.records and all(isinstance(v.rep, dict) for v in res.basis.vectors)
 
 
-def test_one_filtration_index_per_record(monkeypatch):
+def test_one_filtration_index_per_enumeration(monkeypatch):
+    # one call, on the stack of every class's subspaces
     from wildprim import classmod, enumerator
     real = classmod.filtration_index
     calls = []
 
-    def counted(basis, rows):
-        calls.append(1)
-        return real(basis, rows)
+    def counted(basis, stack):
+        calls.append(stack.shape)
+        return real(basis, stack)
     # both names a record could reach it by
     monkeypatch.setattr(enumerator, "filtration_index", counted)
     monkeypatch.setattr(classmod, "filtration_index", counted)
     res = enumerate_primitive(Q2, 2)
     assert len(res.records) == 4
-    assert len(calls) == len(res.records)
+    assert calls == [(4, 2, res.basis.dim)]
 
 
 def test_class_data_is_derived_once_per_class(monkeypatch):

@@ -784,6 +784,15 @@ def test_line_blocks_list_each_line_once_in_bounded_memory():
     assert peak < 1.25 * modrep.LINE_BLOCK * n * 8
 
 
+def test_line_blocks_pack_consecutive_leads():
+    # F_3^7 has 1,093 lines over seven leads, all in one block; F_2^13
+    # has 8,191, one full block and the rest
+    assert [len(block) for block in modrep._line_blocks(7, 3)] == [1093]
+    n, p = 13, 2
+    assert [len(block) for block in modrep._line_blocks(n, p)] == [
+        modrep.LINE_BLOCK, 2 ** n - 1 - modrep.LINE_BLOCK]
+
+
 def _brute_peak(dim):
     """tracemalloc's peak over the brute scan of the cyclic shift on F_2^dim."""
     shift = np.roll(np.eye(dim, dtype=np.int64), 1, axis=0)
