@@ -20,16 +20,18 @@ polynomials, plain dicts {exponent: nonzero coefficient} ({0: c_0},
 {-i: a_j}); reduction reads them one coefficient at a time.
 
 reduce_class expresses an element, or a stack of elements, in this basis
-by peeling filtration coefficients level by level.  The recorded
-coordinates are exact: in char 0 each strip multiplies by basis
-representatives to the power p - c or by a p-th power, so the class moves
-by exactly the recorded coordinates and nothing is inverted; in char p
-each strip subtracts the actual basis representatives.  In char 0 a stack
-walks the levels 1..p*e/(p-1) in lockstep: at a unit level every element
-with coordinate c at (level, j) takes one stacked product with rep^(p - c),
-computed once per basis when first needed; the p-divisible and boundary
-strips are element-specific.  A final certificate checks that every u - 1
-has valuation above the boundary level, so no digit was skipped.
+by peeling filtration coefficients level by level.  In char p each strip
+subtracts the actual basis representatives.  In char 0 a stack of units
+walks the levels 1..bl = p*e/(p-1) in lockstep; each strip multiplies by
+basis representatives to the power p - c or by a p-th power, so the class
+moves by exactly the recorded coordinates and nothing is inverted.  Only
+u mod pi^(bl+1) is read, and U^(i) U^(j) lies in U^(i+j) (Serre, Local
+Fields, IV section 2): above level bl/2, u - 1 and the strip minus 1 both
+have valuation > bl/2, so (1 + z)(1 + w) = 1 + z + w and the strip is one
+stacked addition.  At lv <= bl/2 a unit level takes one stacked product
+per coordinate (j, c) with rep^(p - c), computed once per basis when first
+needed, and a p-divisible level one product per element.  A certificate
+checks that every u - 1 ends at valuation > bl, so no digit was skipped.
 """
 
 from __future__ import annotations
@@ -173,10 +175,7 @@ def reduce_class(basis: ClassBasis, x) -> np.ndarray:
 
 
 def _reduce_kummer(basis: ClassBasis, xs: list[RingElt]) -> np.ndarray:
-    # Classes live in K*/K*^p, so every strip multiplies by a p-th power or
-    # by basis representatives to the power p - c (= rep^(-c) mod p-th powers).
-    # A strip at level lv is 1 mod pi^lv and kills the level-lv digit, so the
-    # units walk the levels 1..bl in lockstep, as one stack.
+    # each strip kills the level-lv digit of every u (module docstring)
     tower = basis.tower
     ring, p, F = tower.ring, tower.p, tower.residue
     e, bl = ring.e, basis.boundary_level
@@ -201,39 +200,49 @@ def _reduce_kummer(basis: ClassBasis, xs: list[RingElt]) -> np.ndarray:
     def times(sel, y):
         U[sel] = (RingElt(ring, U[sel], window) * y).data
 
-    def strip(lv, kind, j, digit):
-        # one stacked product per coordinate value c that occurs
-        pos = basis.position(kind, lv, j)
-        for c in sorted(set(digit.tolist()) - {0}):
-            sel = np.flatnonzero(digit == c)
-            coords[sel, pos] = c
-            times(sel, basis.rep_power(pos, p - c))
+    def add(lv, a):
+        # U += a pi^lv, a one row of coefficients per element
+        U[:, lv % e] = (U[:, lv % e] + a * p ** (lv // e)) % ring.pm
+
+    def times_pth(lv, b):
+        # U *= (1 - b pi^k)^p, lv = p k; above bl/2 that is 1 - p b pi^k +
+        # phi(-b) pi^lv mod p pi^lv, the other binomial terms at e + t k > bl
+        if 2 * lv <= bl:
+            for i in np.flatnonzero(b.any(1)):
+                times(i, (one + RingElt.monomial(ring, lv // p, FFElt(F, -b[i]))).pth_power())
+            return
+        b = -b % p
+        add(e + lv // p, b)
+        add(lv, ring.frobenius_image(b))
 
     for lv in range(1, bl + 1):
         # lower digits are gone, so row lv mod e of u - 1 is divisible by
         # p^(lv // e) and the quotient's residue is the level-lv digit
         digits = (U[:, lv % e] - one.data[lv % e]) % ring.pm // p ** (lv // e) % p
-        if lv == bl:
+        if lv % p:
+            pos = basis.position("unit-level", lv, 0)  # then j = 1..f-1 in turn
+            coords[:, pos:pos + F.f] = digits
+            if 2 * lv > bl:
+                # prod_j (1 + X^j pi^lv)^(p - c_j) = 1 + sum_j (p - c_j) X^j pi^lv
+                add(lv, -digits % p)
+                continue
+            # one stacked product per coordinate value c that occurs
+            for j in range(F.f):
+                for c in sorted(set(digits[:, j].tolist()) - {0}):
+                    times(digits[:, j] == c, basis.rep_power(pos + j, p - c))
+        elif lv < bl:
+            # b = a^(1/p): (1 - b pi^(lv/p))^p has level-lv digit -b^p = -a
+            times_pth(lv, modrep.mm(digits, F.frobenius_power(-1).T, p))
+        else:
             # the one tau with a - tau*b0 in the image of t -> t^p + t (c = 1),
-            # the kernel of the cokernel functional; one solve for all a
+            # the kernel of the cokernel functional; one solve for all a, and
+            # rep^(p - tau) (1 - sol pi^c)^p has level-bl digit -a
             b0 = np.array(basis.aux["b0"].coeffs)
             tau = modrep.mm(digits, basis.aux["functional"], p)
             rhs = (digits - np.outer(tau, b0)) % p
-            sols = modrep.solve(basis.aux["as_matrix"], rhs.T, p).T
-            strip(bl, "boundary", 0, tau)
-            # a != 0 forces tau > 0 or sol != 0, so the strip is never
-            # trivial; (1 - sol pi^c)^p has level-bl digit -(sol^p + sol)
-            for i in np.flatnonzero(sols.any(1)):
-                sol = FFElt(F, sols[i])
-                times(i, (one + RingElt.monomial(ring, basis.c_index, -sol)).pth_power())
-        elif lv % p == 0:
-            # (1 - b pi^(lv/p))^p has level-lv digit -b^p = -a
-            for i in np.flatnonzero(digits.any(1)):
-                b = pth_root(FFElt(F, digits[i]))
-                times(i, (one + RingElt.monomial(ring, lv // p, -b)).pth_power())
-        else:
-            for j in range(F.f):
-                strip(lv, "unit-level", j, digits[:, j])
+            coords[:, basis.position("boundary", bl)] = tau
+            add(bl, np.outer(-tau % p, b0))
+            times_pth(bl, modrep.solve(basis.aux["as_matrix"], rhs.T, p).T)
     # certificate: every u - 1 has valuation above bl, so no digit was missed
     deep = p ** ((bl - np.arange(e)) // e + 1)
     if np.any((U - one.data) % deep[:, None]):
@@ -279,8 +288,9 @@ def galois_matrices(basis: ClassBasis) -> dict[GroupElt, np.ndarray]:
     """Action matrices of sigma and phi (columns = reduced images of reps),
     certified by relations_hold to form a representation of G."""
     tower = basis.tower
-    out = {g: reduce_class(basis, [tower.apply(g, vec.rep) for vec in basis.vectors]).T
-           for g in (tower.sigma, tower.phi)}
+    gens = (tower.sigma, tower.phi)
+    coords = reduce_class(basis, [tower.apply(g, vec.rep) for g in gens for vec in basis.vectors])
+    out = dict(zip(gens, coords.reshape(2, basis.dim, basis.dim).transpose(0, 2, 1)))
     if not relations_hold(tower, out[tower.sigma], out[tower.phi]):
         raise InvariantViolation("the Galois action matrices break a relation of G")
     return out

@@ -101,18 +101,17 @@ FULL_TOWERS = QUICK_TOWERS + [
 
 
 def _verify_suite(suite: str, seed: int):
-    from .verify import (VerificationReport, cross_checks, mass_check,
-                         quadratic_catalog_check, simple_classes_oracle_check,
-                         structure_checks)
-    report = VerificationReport()
-    report.extend(quadratic_catalog_check(seed))
-    report.add("mass[Q_2]", mass_check(BaseField(2, 1, 0), seed=seed), 2)
+    from .verify import (catalog_mass, cross_checks, mass_check, quadratic_catalog_report,
+                         simple_classes_oracle_check, structure_checks)
     towers = FULL_TOWERS if suite == "full" else QUICK_TOWERS
     results = {(base, n): enumerate_primitive(base, n, level_bound=bound, seed=seed)
                for base, n, bound in towers}
+    q2 = results[BaseField(2, 1, 0), 1]
+    report = quadratic_catalog_report(q2)
+    report.add("mass[Q_2]", catalog_mass(q2), 2)
     if suite == "full":
         report.add("mass[Q_4]", mass_check(BaseField(2, 2, 0), seed=seed), 2)
-        report.add("mass[Q_3]", mass_check(BaseField(3, 1, 0), seed=seed), 3)
+        report.add("mass[Q_3]", catalog_mass(results[BaseField(3, 1, 0), 1]), 3)
         report.add("count[Q_2,n=3]", len(results[BaseField(2, 1, 0), 3].records), 16)
         res4 = results[BaseField(2, 2, 0), 2]
         report.add("no-S4[Q_4,n=2]", sorted(set(r.closure_order for r in res4.records)), [12])

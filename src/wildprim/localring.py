@@ -105,6 +105,10 @@ class RingDesc:
         Frobenius lift on the coefficients."""
         return self._frob_pows[k % self.fprime]
 
+    def frobenius_image(self, a: np.ndarray) -> np.ndarray:
+        """phi of coefficient rows a (last axis f'): sum_j a_j X^(pj) mod F."""
+        return a @ self.frobenius_power(1).T % self.pm
+
 
 def _poly_at(poly, z: "RingElt") -> "RingElt":
     """poly(z) by Horner's rule, poly a list of integers, constant first."""

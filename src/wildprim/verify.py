@@ -124,9 +124,12 @@ def mass_check(base: BaseField, *, level_bound: int | None = None, seed: int = 0
     char 0 the value is exactly p; in char p only the partial sum over the
     materialized levels is returned.  use_cache is accepted and ignored.
     """
-    p = base.p
-    result = enumerate_primitive(base, 1, level_bound=level_bound, seed=seed)
-    q = base.q
+    return catalog_mass(enumerate_primitive(base, 1, level_bound=level_bound, seed=seed))
+
+
+def catalog_mass(result: EnumerationResult) -> Fraction:
+    """mass_check's sum over an n = 1 catalog already enumerated."""
+    p, q = result.base.p, result.base.q
     total = Fraction(0)
     for r in result.records:
         if r.unramified:
@@ -326,8 +329,12 @@ def cross_checks(result: EnumerationResult, *,
 
 def quadratic_catalog_check(seed: int = 0) -> VerificationReport:
     """The full degree-2 catalog of Q_2 against the valuation-only oracle."""
+    return quadratic_catalog_report(enumerate_primitive(BaseField(2, 1, 0), 1, seed=seed))
+
+
+def quadratic_catalog_report(result: EnumerationResult) -> VerificationReport:
+    """quadratic_catalog_check on a Q_2 n = 1 catalog already enumerated."""
     report = VerificationReport()
-    result = enumerate_primitive(BaseField(2, 1, 0), 1, seed=seed)
     report.add("q2-quadratics-count", len(result.records), 7)
     report.add("q2-quadratics-d-multiset",
                sorted(r.different_exponent for r in result.records),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from laurent import artin_schreier_image, laurent_sum, random_laurent
-from ringref import val_at_most
+from ringref import reduce_kummer_by_products, val_at_most
 from wildprim import classmod, modrep
 from wildprim.classmod import (
     artinschreier_basis, filtration_index,
@@ -164,14 +164,15 @@ def test_galois_matrices_refuse_an_invertible_phi_breaking_a_relation(q2n2, monk
     def swapped(basis, xs):
         coords = reduce(basis, xs)
         calls.append(xs)
-        if len(calls) == 2:  # phi's images come after sigma's
-            coords[[1, 2]] = coords[[2, 1]]
+        # one stack: sigma's images, then phi's
+        phi = coords[basis.dim:]
+        phi[[1, 2]] = phi[[2, 1]]
         return coords
 
     monkeypatch.setattr(classmod, "reduce_class", swapped)
     with pytest.raises(InvariantViolation, match="break a relation"):
         galois_matrices(basis)
-    assert len(calls) == 2
+    assert len(calls) == 1 and len(calls[0]) == 2 * basis.dim
 
 
 def test_galois_matrices_trivial_at_n1(q2n1):
@@ -552,6 +553,31 @@ def test_stacked_reduction_matches_the_reference(base, n):
     assert reduce_class(basis, []).shape == (0, basis.dim)
 
 
+@pytest.mark.parametrize("base, n", [(Q2, 1), (Q2, 2), (Q2, 3), (Q3, 2), (BaseField(2, 3, 0), 2),
+                                     (BaseField(7, 2, 0), 1), (BaseField(19, 1, 0), 1)])
+def test_reduction_matches_the_product_only_reference(base, n):
+    # above half the boundary level reduce_class adds where the reference
+    # multiplies; a random stack with non-units, residues other than 1 and
+    # residue 1, and a nonzero digit at every level 1..bl
+    tower = build_tower(base, n)
+    basis = kummer_basis(tower)
+    ring = tower.ring
+    rng = random.Random(base.p * 100 + base.f * 10 + n)
+    stack = [RingElt.uniformizer(ring, rng.randrange(4)) * rand_unit(tower, rng)
+             for _ in range(8)]
+    stack += [rand_unit(tower, rng) for _ in range(4)]
+    stack += [RingElt.one(ring) + RingElt.uniformizer(ring) * rand_unit(tower, rng)
+              for _ in range(4)]
+    assert any(x.val() > 0 for x in stack)
+    # every unit of F_2 is 1
+    assert any(x.val() == 0 and x.residue() != tower.residue.one
+               for x in stack) == (ring.p ** ring.fprime > 2)
+    levels = set()
+    expected = reduce_kummer_by_products(basis, stack, levels)
+    assert levels == set(range(1, basis.boundary_level + 1))
+    assert np.array_equal(reduce_class(basis, stack), expected)
+
+
 def test_stacked_reduction_needs_every_window_past_the_boundary(q2n2):
     t, basis = q2n2
     ring = t.ring
@@ -575,11 +601,28 @@ MATRIX_HASHES = [
      "ef667a332fbb3548d4eec083b137ee420010cfa5fa6455f100726778ec04286c"),
     (BaseField(7, 2, 0), 1, "e25664cb37d2087dd446025ba4e3b4ab071c53045acf87283bbd8c24c808943f",
      "6b646f5a8eb03ce8ea5c513cca87c0739b464e68a16a35441eefe8c6f9cb6837"),
+    (Q2, 1, "234930f5a7e15b61732ca7a2c16d5a50382f3e2329e68f54f7ac1eb7cd6fc832",
+     "234930f5a7e15b61732ca7a2c16d5a50382f3e2329e68f54f7ac1eb7cd6fc832"),
+    (Q2, 2, "813e28ad9a3dece3c71c90196581cab91ddbd77924d50b0c16ee580f58d09610",
+     "3f7cd127b642f26d46cc6df89fae6b2202ca12c69b3d4cc60d169b5d6246439c"),
+    (BaseField(2, 2, 0), 2, "813e28ad9a3dece3c71c90196581cab91ddbd77924d50b0c16ee580f58d09610",
+     "3b8d82a676efc14f05dc5516389602e20463fb910363f69ade2e46c79b5c85dc"),
+    (BaseField(5, 1, 0), 1, "7e69b20fe567faf739ccb569a32259d627c65d9bf7a06591fe25ed5d091caa32",
+     "d45e4cf84eb23bb1e6d308e09bdda4bee732911b1c0fcd5c06c2cf76e91eb128"),
+    (BaseField(7, 1, 0), 1, "aa3e28ce26013859cbad875eced822437eee03a510d7cc4c5266e1a2019b1ccb",
+     "5d7b7b91f06df64ebdccd34b54e238e4118c5f7f676245f5e0778e0027670daf"),
+    (BaseField(3, 2, 0), 1, "958b06c730f84bf1efdae96ea4772792bd4334acf671d0b6aec6639a28b32083",
+     "c01cb25544e3dc9fddd9357121653d9b2ee13a7cb7f11d20f1cf0fd607256272"),
+    (BaseField(13, 1, 0), 1, "5480a20ed4378011ea5c195fd9a6467cd7dbfbcd04803b699f34c58746ccdd7b",
+     "3b200c66495b978bb4f8310f289aa6764d3e70dcddf210322f1bddb86441c1a8"),
+    (BaseField(19, 1, 0), 1, "f64e9d8764f8fde38d6a42732ed6e685d77007572f547c1837e9614ef76e24de",
+     "d7a071663b67d81306370a76a057840de6d3b8e8bb0a1bc41777d388131b485c"),
 ]
 
 
 @pytest.mark.parametrize("base, n, sigma_hash, phi_hash", MATRIX_HASHES,
-                         ids=["Q2n3", "Q3n2", "Q8n2", "Q49n1"])
+                         ids=["Q2n3", "Q3n2", "Q8n2", "Q49n1", "Q2n1", "Q2n2", "Q4n2",
+                              "Q5n1", "Q7n1", "Q9n1", "Q13n1", "Q19n1"])
 def test_galois_matrices_are_pinned(base, n, sigma_hash, phi_hash):
     tower = build_tower(base, n)
     M = galois_matrices(kummer_basis(tower))

@@ -227,7 +227,24 @@ def test_an_out_path_that_is_a_directory_fails_at_the_write(command, tmp_path, m
     assert err.startswith("error: ") and "Is a directory" in err
 
 
+def _count_enumerations(monkeypatch):
+    # every enumerate_primitive call of the suite, by (base, n)
+    from collections import Counter
+    from wildprim import cli, verify
+    calls = Counter()
+
+    def counted(base, n, **kwargs):
+        calls[base, n] += 1
+        return enumerator.enumerate_primitive(base, n, **kwargs)
+
+    for module in (cli, verify):
+        monkeypatch.setattr(module, "enumerate_primitive", counted)
+    return calls
+
+
 def test_verify_quick_suite(tmp_path, monkeypatch, capsys):
+    from wildprim.tower import BaseField
+    calls = _count_enumerations(monkeypatch)
     report_path = tmp_path / "report.json"
     code = run(["verify", "--suite", "quick", "--out", str(report_path)],
                tmp_path, monkeypatch)
@@ -237,6 +254,10 @@ def test_verify_quick_suite(tmp_path, monkeypatch, capsys):
     report = json.loads(report_path.read_text())
     assert report["passed"] is True
     assert all(c["passed"] for c in report["checks"])
+    # the quadratic oracle and the Q_2 mass read the tower loop's catalog;
+    # the second call is the precision bump
+    assert "q2-quadratics-count" in text
+    assert calls[BaseField(2, 1, 0), 1] == 2
 
 
 def test_stdout_output(tmp_path, monkeypatch, capsys):
@@ -257,8 +278,12 @@ def test_full_suite_tower_list_is_well_formed():
 
 @pytest.mark.slow
 def test_verify_full_suite_end_to_end(tmp_path, monkeypatch, capsys):
+    from wildprim.tower import BaseField
+    calls = _count_enumerations(monkeypatch)
     code = run(["verify", "--suite", "full"], tmp_path, monkeypatch)
     text = capsys.readouterr().out
     assert code == 0, text
     assert "all checks passed" in text
     assert "FAIL" not in text
+    # Q_2 and Q_3 at n = 1: the tower loop and the precision bump
+    assert calls[BaseField(2, 1, 0), 1] == calls[BaseField(3, 1, 0), 1] == 2

@@ -400,7 +400,8 @@ def test_q5_quintics_classical_count_and_mass():
     assert mass_check(BaseField(5, 1, 0)) == Fraction(5)
 
 
-@pytest.mark.parametrize("p", [7, 11, 13, 17, 19, 23])
+@pytest.mark.parametrize("p", [7, 11, 13, 17, 19, 23, pytest.param(29, marks=pytest.mark.slow),
+                               pytest.param(31, marks=pytest.mark.slow)])
 def test_serre_mass_equals_p(p):
     from wildprim.verify import mass_check
     assert mass_check(BaseField(p, 1, 0)) == p

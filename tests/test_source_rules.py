@@ -142,6 +142,7 @@ def test_one_ring_product_path():
 # the Z/p^m products of the valuation ring: their entries can exceed the
 # float64 bound, so they stay on int64 and outside modrep.mm
 RING_PRODUCT_SCOPES = {"localring.py:RingDesc.reduce_wide", "localring.py:RingDesc._frob_pows",
+                       "localring.py:RingDesc.frobenius_image",
                        "tower.py:TameTower.__init__", "tower.py:TameTower.apply"}
 
 
