@@ -25,7 +25,6 @@ the class basis's representative powers; no enumeration result is cached.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import accumulate
 from math import gcd
 
 import numpy as np
@@ -64,12 +63,9 @@ def fingerprint(tower: TameTower, sigma: np.ndarray, phi: np.ndarray) -> tuple:
     p = tower.p
     leaders = [cls[0] for cls in tower.conjugacy_classes]
 
-    def powers(M, k):
-        return np.stack(list(accumulate([M] * k, lambda A, B: modrep.mm(A, B, p),
-                                        initial=np.eye(M.shape[0], dtype=np.int64))))
-
     a, b = (list(x) for x in zip(*leaders))
-    elements = modrep.mm(powers(sigma, max(a))[a], powers(phi, max(b))[b], p)
+    elements = modrep.mm(modrep.matrix_powers(sigma, max(a) + 1, p)[a],
+                         modrep.matrix_powers(phi, max(b) + 1, p)[b], p)
     cps = {g: tuple(cp) for cls, cp in zip(tower.conjugacy_classes, modrep.charpoly(elements, p))
            for g in cls}
     return (sigma.shape[0], tuple(cps[g] for g in tower.group_elements()))
@@ -168,8 +164,10 @@ def simple_classes(tower: TameTower) -> list[SimpleClassInfo]:
                 # p^d k = q^-j' k mod e; b is the first unit with J^(r/d) = 1
                 jp = next(i for i in range(t)
                           if (p ** d * k - k * pow(qinv, i, e)) % e == 0)
-                frob = np.kron(np.eye(t, dtype=np.int64), F.frobenius_power(d))
                 eye = np.eye(t * r, dtype=np.int64)
+                frob = np.zeros_like(eye)  # the Frobenius on each of the t coordinates
+                for i in range(0, t * r, r):
+                    frob[i:i + r, i:i + r] = F.frobenius_power(d)
                 for code in range(1, F.order):
                     J = modrep.mm(shift(jp, F.from_code(code)), frob, p)
                     if np.array_equal(modrep._mat_pow(J, r // d, p), eye):
@@ -366,7 +364,8 @@ def enumerate_primitive(base: BaseField, n: int, *, level_bound: int | None = No
     degree_classes = [c for c in classes if c.dim == n]
     closures = [closure_descriptor(tower, *cls.gens(), omega) for cls in degree_classes]
     polys = [sigma_charpoly(tower, cls.fingerprint) for cls in degree_classes]
-    parts = {c: modrep.isotypic_part(gens_V, list(c), tower.p) for c in set(polys)}
+    powers = modrep.matrix_powers(gens_V[0], tower.e, tower.p)
+    parts = {c: modrep.isotypic_part(gens_V, powers, list(c), tower.p) for c in set(polys)}
     owners, stacks = [], []
     for cls, closure, c in zip(degree_classes, closures, polys):
         subs = modrep.enumerate_simple_submodules(parts[c][1], cls.gens(), cls.end_degree, tower.p)

@@ -25,7 +25,12 @@ oracle in verify compares against.
 The simple submodules of V isomorphic to a simple S are the images of the
 nonzero maps in Hom(S, V), which lie in the isotypic part ker c(g_V), c the
 characteristic polynomial of the first generator on S (condensation, Lux,
-Mueller, Ringe 1994).  enumerate_simple_submodules takes one map per
+Mueller, Ringe 1994).  With g_V^e = 1 and p prime to e, that part is the
+image of h(g_V), h = (x^e - 1)/gcd(c, x^e - 1): one combination of a table
+of the powers of g_V, built once per module, and one elimination of rank
+dim W.  hom_space spins S from greedy seeds and solves for the images of
+the seeds (the MeatAxe standard basis, Parker 1984): dim V unknowns per
+seed, not dim V * dim S.  enumerate_simple_submodules takes one map per
 F_p-line of Hom(S, part) and groups the maps by image; it needs the End
 degree of S, which the caller knows, and never builds End(S).
 
@@ -50,6 +55,7 @@ BLAS_WIDTH = 32  # from this inner width on float64 wins (2-core host)
 LINE_BLOCK = 1 << 12  # lines spun in lockstep; a block peaks near 7 MB at dim 14
 MAX_HOM_LINES = 1 << 18  # admits Q_{2^16}, n = 1: 2^18 - 1 lines, the largest scan
 MAX_SPLIT_TRIES = 200  # random algebra elements the splitter tries per module
+POWER_ROWS = 64  # rows of a power table that isotypic_part widens to int64 at a time
 
 
 def as_fp(A, p: int) -> np.ndarray:
@@ -59,7 +65,7 @@ def as_fp(A, p: int) -> np.ndarray:
 def mm(A, B, p: int) -> np.ndarray:
     width = np.shape(A)[-1]
     if width < BLAS_WIDTH:
-        return (A @ B) % p
+        return np.matmul(A, B, dtype=np.int64) % p
     if width * (p - 1) ** 2 >= 1 << 53:
         raise InvariantViolation(f"a width-{width} product mod {p} is not exact in float64")
     return (np.asarray(A, dtype=np.float64) @ np.asarray(B, dtype=np.float64)).astype(np.int64) % p
@@ -88,7 +94,8 @@ def rref(A, p: int):
             A[hit] = (A[hit] - np.outer(A[hit, c], A[r])) % p
         pivots.append(c)
         r += 1
-    return A[:r], pivots
+    # a copy below full rank: a view would keep every eliminated row alive
+    return (A[:r].copy() if r < nrows else A), pivots
 
 
 def rank(A, p: int) -> int:
@@ -358,32 +365,86 @@ def chop(gens, p: int, seed: int = 0) -> list[Constituent]:
 
 
 def hom_space(gens_S, gens_V, p: int) -> list[np.ndarray]:
-    """Basis of equivariant maps S -> V as (dim V x dim S) matrices: one
-    kernel of kron(g_V, I) - kron(I, g_S^T) on the row-major vec(X) for the
-    first generator g, cut by each further generator to the combinations
-    whose g_V X - X g_S vanishes.  No relation among the generators,
-    semisimplicity or cyclic S is assumed; callers condense V first."""
+    """Basis of equivariant maps S -> V as (dim V x dim S) matrices, by the
+    standard-basis method (Parker 1984).  S is spun from greedy seeds, each
+    unit vector not yet in the span, so every basis vector b_k is a seed or
+    g b_i for an earlier b_i; a map X is fixed by the images y of the
+    seeds, X b_k = Y_k y with Y_k the word of b_k in g_V.  X is equivariant
+    exactly when g_V X b_k = X g_S b_k for every b_k and generator g, with
+    g_S b_k in coordinates from one solve: kernels on y, dim V unknowns per
+    seed, each relation cutting the solutions so far.  No relation among
+    the generators, semisimplicity or cyclic S is assumed; callers condense
+    V first."""
     gens_S = [as_fp(M, p) for M in gens_S]
     gens_V = [as_fp(M, p) for M in gens_V]
     m, n = gens_V[0].shape[0], gens_S[0].shape[0]
-    X = kernel(np.kron(gens_V[0], np.eye(n, dtype=np.int64))
-               - np.kron(np.eye(m, dtype=np.int64), gens_S[0].T), p)
-    for MS, MV in zip(gens_S[1:], gens_V[1:]):
-        maps = X.reshape(len(X), m, n)
-        defect = (mm(MV, maps, p) - mm(maps, MS, p)) % p
-        X = mm(kernel(defect.reshape(len(X), m * n).T, p), X, p)
-    return list(X.reshape(len(X), m, n))
+    ech, pivots, basis, origin = [], [], [], []  # origin of b_k: None (a seed) or (i, j): g_j b_i
+    for seed in np.eye(n, dtype=np.int64):
+        queue = deque([(seed, None)])
+        while queue and len(basis) < n:
+            v, source = queue.popleft()
+            if _echelon_insert(ech, pivots, v, p)[1]:
+                basis.append(v)
+                origin.append(source)
+                queue.extend((mm(M, v, p), (len(basis) - 1, j)) for j, M in enumerate(gens_S))
+    unknowns = m * origin.count(None)
+    Y = np.zeros((n, m, unknowns), dtype=np.int64)
+    for k, source in enumerate(origin):
+        if source is None:
+            at = m * origin[:k].count(None)
+            Y[k, :, at:at + m] = np.eye(m, dtype=np.int64)
+        else:
+            Y[k] = mm(gens_V[source[1]], Y[source[0]], p)
+    B = np.stack(basis, axis=1)
+    # the coordinates of g b_k for every generator g, and of the unit vectors
+    *coords, B_inv = np.split(solve(B, np.concatenate(
+        [mm(M, B, p) for M in gens_S] + [np.eye(n, dtype=np.int64)], axis=1), p),
+        len(gens_S) + 1, axis=1)
+    y = np.eye(unknowns, dtype=np.int64)
+    for MV, C in zip(gens_V, coords):
+        for block in (mm(MV, Y, p) - mm(C.T, Y.reshape(n, -1), p).reshape(Y.shape)) % p:
+            if block.any():  # zero on a spanning-tree edge: g_j b_i is b_k
+                y = mm(kernel(mm(block, y.T, p), p), y, p)
+    # X B has columns Y_k y, so X = [Y_k y]_k B^-1
+    XB = mm(Y.reshape(n * m, unknowns), y.T, p).reshape(n, m, len(y)).transpose(2, 1, 0)
+    return list(mm(XB, B_inv, p))
 
 
-def isotypic_part(gens_V, c: list[int], p: int) -> tuple[np.ndarray, list[np.ndarray]]:
+def matrix_powers(M, count: int, p: int) -> np.ndarray:
+    """M^k for k < count, stacked, in the narrowest signed dtype that holds
+    0..p - 1: the 24 powers of sigma on the 1154-dim class module of Q_5
+    n=2 take 32 MB in int8."""
+    M = as_fp(M, p)
+    out = np.empty((count,) + M.shape, dtype=np.min_scalar_type(1 - p))
+    out[:1] = np.eye(len(M), dtype=np.int64)
+    for k in range(1, count):
+        out[k] = mm(out[k - 1], M, p)
+    return out
+
+
+def isotypic_part(gens_V, powers: np.ndarray, c: list[int],
+                  p: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """Rref rows W of ker c(g_V), g the first generator, and the action on W.
 
     For c the characteristic polynomial of g_S, every equivariant X: S -> V
     has c(g_V) X = X c(g_S) = 0 (Cayley-Hamilton), so its image lies in W.
-    W is stable when g is semisimple and the roots of c are closed under the
-    group's conjugation of g (in the tower group sigma, of order prime to p,
-    with phi sigma phi^-1 = sigma^q); restrict_action certifies it."""
-    W = rref(kernel(poly_eval_matrix(c, as_fp(gens_V[0], p), p), p), p)[0]
+    powers holds g_V^k for k < e, where g_V^e = 1 and p does not divide e:
+    then x^e - 1 = r h with r = gcd(c, x^e - 1) and h coprime, and W is
+    ker r(g_V) = ker c(g_V), the image of h(g_V), an elimination of rank
+    dim W.  W is stable when the roots of c are closed under the group's
+    conjugation of g (in the tower group sigma, of order e, with
+    phi sigma phi^-1 = sigma^q); restrict_action certifies it."""
+    e, dim = len(powers), len(gens_V[0])
+    if e % p == 0:
+        raise ValueError(f"x^{e} - 1 is not squarefree over F_{p}")
+    cyclic = [p - 1] + [0] * (e - 1) + [1]
+    # h mod x^e - 1: h itself, unless r = 1 and W = 0
+    h = gfpoly.mod(gfpoly.divmod_poly(cyclic, gfpoly.gcd(c, cyclic, p), p)[0], cyclic, p)
+    h = np.array(h + [0] * (e - len(h)), dtype=np.int64)
+    # sum_k h_k g_V^k, a block of rows at a time: only that block is widened to int64
+    image = np.concatenate([mm(h, powers[:, i:i + POWER_ROWS].reshape(e, -1), p)
+                            for i in range(0, dim, POWER_ROWS)]).reshape(dim, dim)
+    W = rref(image.T, p)[0]
     return W, restrict_action(gens_V, W, p)
 
 
@@ -401,7 +462,8 @@ def _mat_pow(M, e: int, p: int) -> np.ndarray:
 def enumerate_simple_submodules(gens_V, gens_S, end_degree: int,
                                 p: int) -> list[np.ndarray]:
     """All submodules of V isomorphic to the simple module S, as canonical
-    rref row bases sorted by the flattened basis.
+    rref row bases sorted by the flattened basis.  V is normally an
+    isotypic part, whose Hom from S is the Hom into the whole module.
 
     They are the images of the nonzero maps in H = Hom(S, V), and two maps
     share their image exactly when they differ by a unit of

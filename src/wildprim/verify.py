@@ -157,7 +157,8 @@ def structure_checks(result: EnumerationResult) -> VerificationReport:
         report.add(f"dim[{_tag(result)}]", result.basis.dim, expected_dim)
         om_s, om_p = result.omega[tower.sigma], result.omega[tower.phi]
         polys = [sigma_charpoly(tower, cls.fingerprint) for cls in result.classes]
-        parts = {c: modrep.isotypic_part(V, list(c), p)[1] for c in set(polys)}
+        powers = modrep.matrix_powers(V[0], tower.e, p)
+        parts = {c: modrep.isotypic_part(V, powers, list(c), p)[1] for c in set(polys)}
         for cls, c in zip(result.classes, polys):
             hom_dim = len(modrep.hom_space(cls.gens(), parts[c], p))
             expected = f * cls.dim

@@ -266,11 +266,12 @@ def test_one_filtration_index_per_enumeration(monkeypatch):
 def test_class_data_is_derived_once_per_class(monkeypatch):
     # one closure descriptor per class of dimension n, one isotypic part per
     # distinct characteristic polynomial of sigma among those classes (at
-    # Q_2 n=3 four classes share three), and no restriction of the action
-    # to an image: restrict_action runs only inside isotypic_part and the
-    # class construction
+    # Q_2 n=3 four classes share three), all from one table of the powers
+    # of sigma on the class module, and no restriction of the action to an
+    # image: restrict_action runs only inside isotypic_part and the class
+    # construction
     from wildprim import enumerator
-    closures, parts, outside, depth = [], [], [], []
+    closures, parts, outside, depth, tables = [], [], [], [], []
 
     def wrap(fn, log=None):
         def inner(*args, **kwargs):
@@ -294,11 +295,15 @@ def test_class_data_is_derived_once_per_class(monkeypatch):
     monkeypatch.setattr(modrep, "isotypic_part", wrap(modrep.isotypic_part, parts))
     monkeypatch.setattr(enumerator, "simple_classes", wrap(enumerator.simple_classes))
     monkeypatch.setattr(modrep, "restrict_action", restrict)
+    real_powers = modrep.matrix_powers
+    monkeypatch.setattr(modrep, "matrix_powers",
+                        lambda M, *args: tables.append(len(M)) or real_powers(M, *args))
     res = enumerate_primitive(Q2, 3)
     degree_classes = [c for c in res.classes if c.dim == 3]
     assert len(closures) == len(degree_classes) == 4
     assert len(parts) == len({tuple(modrep.charpoly(c.sigma, 2)) for c in degree_classes}) == 3
     assert outside == []
+    assert tables.count(res.basis.dim) == 1
 
 
 @pytest.mark.parametrize("base,n,bound", [

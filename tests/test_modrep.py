@@ -80,8 +80,32 @@ def test_mat_pow_is_the_repeated_product():
         ref = ref @ M % 7
 
 
+def test_matrix_powers_are_the_repeated_product_in_a_narrow_dtype():
+    # entries below p = 127 fit int8; mm widens two narrow operands to int64,
+    # so a product of two tables is exact
+    p = 127
+    rng = np.random.default_rng(6)
+    M = rng.integers(0, p, (40, 40))
+    table = modrep.matrix_powers(M, 6, p)
+    assert table.dtype == np.int8 and table.shape == (6, 40, 40)
+    ref = np.eye(40, dtype=np.int64)
+    for P in table:
+        assert np.array_equal(P, ref)
+        ref = ref @ M % p
+    small = table[:, :5, :5]
+    assert np.array_equal(modrep.mm(small, small, p),
+                          small.astype(np.int64) @ small.astype(np.int64) % p)
+    assert modrep.matrix_powers(M, 3, 4194301).dtype == np.int32
+
+
 def test_rank_all_ones():
     assert rank(np.ones((3, 3), dtype=np.int64), 2) == 1
+
+
+def test_rref_below_full_rank_holds_only_its_rows():
+    # not a view into the eliminated matrix, which would stay alive with it
+    R, pivots = rref(np.ones((300, 300), dtype=np.int64), 2)
+    assert R.shape == (1, 300) and pivots == [0] and R.base is None
 
 
 def test_solve_random_invertible_by_substitution():
@@ -472,7 +496,7 @@ def test_hom_space_is_empty_when_the_condensed_space_is():
     p = 3
     S = [np.eye(1, dtype=np.int64)] * 2
     V = [2 * np.eye(3, dtype=np.int64), np.eye(3, dtype=np.int64)]
-    W, part = isotypic_part(V, charpoly(S[0], p), p)
+    W, part = isotypic_part(V, modrep.matrix_powers(V[0], 2, p), charpoly(S[0], p), p)
     assert W.shape == (0, 3) and [M.shape for M in part] == [(0, 0)] * 2
     assert hom_space(S, part, p) == []
     assert hom_space(S, V, p) == []
@@ -505,29 +529,41 @@ def test_hom_space_of_a_one_generator_module():
     assert _check_hom_space([JORDAN], V, p) == 5
 
 
-@pytest.mark.parametrize("base,n,level_bound,only_dim_n", [
-    (BaseField(2, 1, 0), 2, None, False),
-    (BaseField(3, 1, 0), 1, None, False),
-    (BaseField(5, 1, 0), 1, None, False),
-    (BaseField(2, 1, 2), 2, 5, False),
-    (BaseField(2, 1, 0), 3, None, True),
-], ids=["Q_2,n=2", "Q_3,n=1", "Q_5,n=1", "F_2((t)),n=2,B=5", "Q_2,n=3"])
-def test_hom_space_on_tower_class_modules(base, n, level_bound, only_dim_n):
-    # condensation against the plain Kronecker solve on the whole class
-    # module, for the classes the enumerator meets: every simple class, or
-    # those of dim n; the maps into the isotypic part W, composed with the
-    # inclusion W^T, are all of Hom(S, V)
+def _tower_module(base, n, level_bound):
+    """The tower, its class module's sigma and phi, and sigma's powers."""
     tower = build_tower(base, n)
-    p = tower.p
     mats = galois_matrices(kummer_basis(tower) if base.char == 0
                            else artinschreier_basis(tower, level_bound))
     V = [mats[tower.sigma], mats[tower.phi]]
-    classes = [c for c in simple_classes(tower) if not only_dim_n or c.dim == n]
-    assert classes
-    for cls in classes:
-        W, part = isotypic_part(V, charpoly(cls.sigma, p), p)
-        H = [(W.T @ Y) % p for Y in hom_space(cls.gens(), part, p)]
-        _check_hom_space(cls.gens(), V, p, H)
+    return tower, V, modrep.matrix_powers(V[0], tower.e, tower.p)
+
+
+# dim S * dim V up to which the maps into a part, composed with the
+# inclusion, are also checked against the Kronecker solve on all of V
+KRONECKER_ON_V = 500
+
+
+@pytest.mark.parametrize("base,n,level_bound", [
+    (BaseField(2, 1, 0), 2, None), (BaseField(3, 1, 0), 1, None),
+    (BaseField(5, 1, 0), 1, None), (BaseField(2, 1, 2), 2, 5),
+    (BaseField(2, 1, 0), 3, None),
+], ids=["Q_2,n=2", "Q_3,n=1", "Q_5,n=1", "F_2((t)),n=2,B=5", "Q_2,n=3"])
+def test_hom_space_on_tower_class_modules(base, n, level_bound):
+    # every simple class, against the plain Kronecker solve into its
+    # isotypic part W (at Q_2 n=3 also the 6- and 9-dim classes); where it
+    # is small, the maps composed with the inclusion W^T are all of Hom(S, V)
+    tower, V, powers = _tower_module(base, n, level_bound)
+    p = tower.p
+    dims = set()
+    for cls in simple_classes(tower):
+        W, part = isotypic_part(V, powers, charpoly(cls.sigma, p), p)
+        H = hom_space(cls.gens(), part, p)
+        _check_hom_space(cls.gens(), part, p, H)
+        if cls.dim * len(V[0]) <= KRONECKER_ON_V:
+            _check_hom_space(cls.gens(), V, p, [(W.T @ Y) % p for Y in H])
+        dims.add(cls.dim)
+    if (base.p, n) == (2, 3):
+        assert dims == {1, 2, 3, 6, 9}
 
 
 @pytest.mark.parametrize("base,n,level_bound", [
@@ -538,14 +574,11 @@ def test_a_basis_from_the_part_times_w_is_rref(base, n, level_bound):
     # the enumerator maps each submodule basis back to V with one product
     # by the rref rows W of its isotypic part and emits the result as the
     # canonical rref basis, with no rref of its own
-    tower = build_tower(base, n)
+    tower, V, powers = _tower_module(base, n, level_bound)
     p = tower.p
-    mats = galois_matrices(kummer_basis(tower) if base.char == 0
-                           else artinschreier_basis(tower, level_bound))
-    V = [mats[tower.sigma], mats[tower.phi]]
     bases = 0
     for cls in (c for c in simple_classes(tower) if c.dim == n):
-        W, part = isotypic_part(V, charpoly(cls.sigma, p), p)
+        W, part = isotypic_part(V, powers, charpoly(cls.sigma, p), p)
         for rows in enumerate_simple_submodules(part, cls.gens(), cls.end_degree, p):
             image = (rows @ W) % p
             assert np.array_equal(image, rref(image, p)[0])
@@ -560,15 +593,54 @@ def test_a_basis_from_the_part_times_w_is_rref(base, n, level_bound):
 def test_condensation_at_charpoly_is_at_the_minimal_polynomial(base, n, level_bound):
     # sigma has order prime to p, so it acts semisimply on S and V, and
     # isotypic_part's W = ker c(sigma_V) is the kernel at the minimal polynomial
-    tower = build_tower(base, n)
+    tower, V, powers = _tower_module(base, n, level_bound)
     p = tower.p
-    sigma_V = galois_matrices(kummer_basis(tower) if base.char == 0
-                              else artinschreier_basis(tower, level_bound))[tower.sigma]
+    sigma_V = V[0]
     for cls in simple_classes(tower):
         sigma_S = cls.gens()[0]
-        at_c = isotypic_part([sigma_V], charpoly(sigma_S, p), p)[0]
+        at_c = isotypic_part([sigma_V], powers, charpoly(sigma_S, p), p)[0]
         at_m = kernel(poly_eval_matrix(least_monic_annihilator(sigma_S, p), sigma_V, p), p)
         assert np.array_equal(at_c, rref(at_m, p)[0])
+
+
+def _kernel_part(gens_V, c, p):
+    """The isotypic part as the kernel of c(g_V), and the action on it."""
+    W = rref(kernel(poly_eval_matrix(c, gens_V[0], p), p), p)[0]
+    return W, restrict_action(gens_V, W, p)
+
+
+def _check_parts_are_the_kernel_form(tower, V, powers):
+    p = tower.p
+    classes = simple_classes(tower)
+    assert classes
+    for c in {tuple(charpoly(cls.sigma, p)) for cls in classes}:
+        W, part = isotypic_part(V, powers, list(c), p)
+        W_ref, part_ref = _kernel_part(V, list(c), p)
+        assert np.array_equal(W, W_ref)
+        assert all(np.array_equal(a, b) for a, b in zip(part, part_ref))
+
+
+@pytest.mark.parametrize("base,n,level_bound", [
+    (BaseField(2, 1, 0), 3, None), (BaseField(3, 1, 0), 2, None),
+    (BaseField(2, 1, 2), 2, 5),
+], ids=["Q_2,n=3", "Q_3,n=2", "F_2((t)),n=2,B=5"])
+def test_isotypic_parts_are_the_kernel_form(base, n, level_bound):
+    # the image of h(sigma_V), h = (x^e - 1)/gcd(c, x^e - 1), is ker c(sigma_V):
+    # the same rref rows W and the same action as the kernel form, every class
+    _check_parts_are_the_kernel_form(*_tower_module(base, n, level_bound))
+
+
+@pytest.mark.slow
+def test_isotypic_parts_are_the_kernel_form_at_q2_n4(q2n4):
+    tower = q2n4.tower
+    V = [q2n4.matrices[tower.sigma], q2n4.matrices[tower.phi]]
+    _check_parts_are_the_kernel_form(tower, V, modrep.matrix_powers(V[0], tower.e, tower.p))
+
+
+def test_isotypic_part_needs_a_squarefree_order():
+    # sigma^2 = 1 over F_2: x^2 - 1 = (x - 1)^2, so an image need not be a kernel
+    with pytest.raises(ValueError, match="squarefree"):
+        isotypic_part([SWAP], modrep.matrix_powers(SWAP, 2, 2), [1, 1], 2)
 
 
 def _solve_per_column(gens, rows, p):

@@ -163,15 +163,25 @@ def test_one_fp_product_path():
 
 
 def test_condensation_stays_out_of_hom_space():
-    # a polynomial in a matrix is evaluated only to condense a module once
-    # per isotypic part and in the MeatAxe splitter; hom_space is the plain
-    # Kronecker solve on the module its caller condensed
+    # a polynomial in a matrix is evaluated only in the MeatAxe splitter: an
+    # isotypic part is one combination of a table of powers, and hom_space
+    # solves on the module its caller condensed
     sites = set()
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         sites |= {f"{path.name}:{scope}" for scope in _scopes_where(tree, lambda node: (
             isinstance(node, ast.Call) and _mentions(node.func, "poly_eval_matrix")))}
-    assert sites == {"modrep.py:isotypic_part", "modrep.py:_split_once"}
+    assert sites == {"modrep.py:_split_once"}
+
+
+def test_one_hom_solver():
+    # Hom is solved from a spinning basis of S; no Kronecker system, whose
+    # unknowns number dim V * dim S, is built anywhere in the package
+    sites = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        sites += [f"{path.name}:{scope}" for scope in _scopes_using(tree, "kron")]
+    assert sites == []
 
 
 def test_readme_record_table_is_the_record_schema():

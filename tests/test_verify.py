@@ -85,15 +85,30 @@ def test_structure_checks_pass(base, n, bound):
 
 def test_structure_checks_condense_once_per_polynomial(monkeypatch):
     # one isotypic part per distinct characteristic polynomial of sigma
-    # over all simple classes: at Q_3 n=1 four classes share two
+    # over all simple classes (at Q_3 n=1 four classes share two), from
+    # one table of the powers of sigma on the class module
     res = enumerate_primitive(Q3, 1)
-    calls = []
+    calls, tables = [], []
     real = modrep.isotypic_part
     monkeypatch.setattr(modrep, "isotypic_part",
                         lambda *args: calls.append(1) or real(*args))
+    real_powers = modrep.matrix_powers
+    monkeypatch.setattr(modrep, "matrix_powers",
+                        lambda M, *args: tables.append(len(M)) or real_powers(M, *args))
     assert structure_checks(res).passed
     polys = {tuple(modrep.charpoly(c.sigma, 3)) for c in res.classes}
     assert len(calls) == len(polys) == 2 and len(res.classes) == 4
+    assert tables == [res.basis.dim]
+
+
+@pytest.mark.slow
+def test_structure_and_duality_checks_pass_at_q2_n4(q2n4):
+    # the n = 4 regime's oracles: the dimension of the class module, the
+    # Hom multiplicity of every simple class (8- and 16-dim ones among them)
+    # and the twisted dual of each of the 53 parameters
+    assert len(q2n4.records) == 53
+    for report in (structure_checks(q2n4), duality_checks(q2n4)):
+        assert report.passed, report.render()
 
 
 def test_structure_dimension_examples():
